@@ -30,7 +30,14 @@ from .fluxes import FluxModel, flux_from_file, make_builtin
 from .lcg import Lcg64
 from .measures import ParticleQuantiles, midpoint_nodes
 
-__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "build_initial", "KINDS"]
+__all__ = [
+    "ConfigError",
+    "ExperimentConfig",
+    "parse_config",
+    "parse_preset",
+    "build_initial",
+    "KINDS",
+]
 
 KINDS = (
     "contraction_sweep",
@@ -238,14 +245,19 @@ def _validate(cfg: ExperimentConfig):
         build_initial(getattr(cfg, sec), 4, field_name=sec)
 
 
-def build_initial(spec: dict, n: int, field_name: str = "initial") -> ParticleQuantiles:
-    """Particle system of size n from an initial-datum spec dict."""
+def parse_preset(spec: dict, field_name: str = "initial") -> tuple[str, tuple[float, ...]]:
+    """The preset name and its numeric arguments, e.g. ("uniform", (0.0, 1.0))."""
     preset = spec.get("preset", "random(7)")
     m = _PRESET_RE.match(preset)
     if not m:
         raise ConfigError(f"field '{field_name}.preset': cannot parse {preset!r}")
     name, argtext = m.group(1), m.group(2)
-    args = _floats(argtext, f"{field_name}.preset") if argtext else ()
+    return name, _floats(argtext, f"{field_name}.preset") if argtext else ()
+
+
+def build_initial(spec: dict, n: int, field_name: str = "initial") -> ParticleQuantiles:
+    """Particle system of size n from an initial-datum spec dict."""
+    name, args = parse_preset(spec, field_name)
 
     if name == "dirac":
         if len(args) != 1:

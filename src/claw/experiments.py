@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, build_initial
+from .config import ExperimentConfig, build_initial, parse_preset
 from .entropy import BumpFamily, _residuals_for_levels
 from .measures import StepCdf, as_step_cdf, moment, tail_moment
 from .scheme import (
@@ -116,13 +116,14 @@ def _classical_constancy(cfg: ExperimentConfig) -> ResultTable:
 
 def _oracle_cdf(cfg: ExperimentConfig, t: float):
     """Closed-form entropy solution for the supported flux/datum pairs."""
-    preset = cfg.initial_a.get("preset", "")
-    if preset.replace(" ", "") in ("uniform(0,1)",) and cfg.flux.name == "burgers":
+    name, args = parse_preset(cfg.initial_a, "initial_a")
+    if name == "uniform" and args == (0.0, 1.0) and cfg.flux.name == "burgers":
         return exact_rarefaction_cdf(t)
-    if preset.startswith("dirac"):
+    if name == "dirac":
         shock = exact_shock_cdf(cfg.flux, t)  # raises for non-admissible fluxes
         x0 = build_initial(cfg.initial_a, 1, "initial_a").positions[0]
         return StepCdf(shock.breakpoints + x0, shock.values)
+    preset = cfg.initial_a.get("preset", "random(7)")
     raise ValueError(
         f"no exact oracle for flux {cfg.flux.name!r} with initial datum {preset!r}"
     )

@@ -22,7 +22,7 @@ from .measures import (
     tail_moment,
 )
 from .scheme import sh_as_cdf, sh_trajectory, th_step
-from .viscous import heat_resample
+from .viscous import SmoothedCdf, heat_resample, smoothed_quantile
 from .wasserstein import w1_via_cdf, wp_cdf, wp_particles, quantile_staircase, wp_from_staircases
 
 __all__ = ["run_selftest"]
@@ -146,6 +146,21 @@ def _check_heat_shift():
     return None
 
 
+def _check_heat_split():
+    # two clusters 100 sigma apart are resampled separately; the result
+    # must match the exact quantile of the whole mixture
+    sigma, n = 0.05, 128
+    left = _random_pq(410, n=n // 2).positions  # within [-1, 1]
+    right = _random_pq(411, n=n // 2).positions + 2.0 + 100 * sigma
+    pq = ParticleQuantiles(np.concatenate([left, right]))
+    out = heat_resample(pq, sigma)
+    sc = SmoothedCdf(pq, sigma)
+    for i in (0, n // 2 - 1, n // 2, n - 1):
+        if abs(out.positions[i] - smoothed_quantile(sc, (i + 0.5) / n)) > 2e-10:
+            return f"split resample misses the exact quantile at node {i}"
+    return None
+
+
 def _check_nodes():
     for n in (1, 2, 7, 100):
         w = midpoint_nodes(n)
@@ -164,6 +179,7 @@ CHECKS = [
     ("moment and tail bounds", _check_moment_bounds),
     ("heat-kernel Wp contraction", _check_heat_contraction),
     ("heat resample shift equivariance", _check_heat_shift),
+    ("heat resample cluster split", _check_heat_split),
     ("midpoint node grid", _check_nodes),
 ]
 

@@ -6,17 +6,36 @@ to the particle representation by resampling the smoothed CDF at the
 midpoint quantile nodes.
 
 The smoothed CDF is the mixture F(x) = (1/N) sum_j Phi((x - c_j)/sigma).
-``smoothed_quantile`` inverts it for a single level by guarded bisection.
-``heat_resample`` needs all N quantiles per step, which bisection alone
-makes prohibitively slow at sweep scale, so it dispatches to a fast path:
-the mixture density is split through the Gaussian semigroup as
-phi_sigma = phi_sigma1 * phi_sigma2 with sigma2 tied to the grid spacing,
-the sigma2-mollified atom density is sampled exactly on a uniform grid
-(short per-atom windows), the remaining sigma1 convolution and the
-antiderivative are applied spectrally, and monotone cubic cells invert the
-resulting machine-accurate CDF table.  Every node is certified against an
-interpolation error bound; nodes in near-flat cells fall back to exact
-bisection.  Both paths agree within the requested tolerance.
+It is evaluated exactly by summing only the centers within 9 sigma of x and
+counting farther-left centers as full mass; the truncation error is below
+2.3e-19.  ``smoothed_quantile`` inverts it for one level by bisection.
+
+``heat_resample`` needs all N quantiles per step.  It first cuts the sorted
+centers wherever a gap exceeds 20 sigma.  Within 10 sigma of a cluster every
+center of another cluster lies more than 9 sigma away, so there the exact
+evaluator gives F(x) = (L + n_c F_c(x))/N, where L centers lie left of the
+cluster and F_c is the mixture of its own n_c centers.  The quantile at a
+node always lies within 9 sigma of the center of the same rank, so the
+global node (L + j + 1/2)/N is exactly the cluster's own node (j + 1/2)/n_c,
+and each cluster is resampled on its own.
+
+A cluster of at least 48 particles gets a CDF table.  The mixture density is
+split through the Gaussian semigroup as phi_sigma = phi_sigma1 * phi_sigma2
+with sigma2 tied to the grid spacing; the sigma2-mollified atom density is
+sampled exactly on a uniform grid (short per-atom windows), and the
+remaining sigma1 convolution and the antiderivative are applied spectrally.
+Each monotone cubic Hermite cell of the resulting machine-accurate table is
+inverted by Newton's method, started from the secant value and safeguarded
+by a bracket.  Every node is certified against an interpolation error
+bound; nodes in near-flat cells get one Newton correction on the exact CDF,
+and those that still miss the tolerance are bisected.  Neighbouring centers
+of a cluster are at most 20 sigma apart, so with its padding its table
+spans at most 20*n_c sigma, or 3840*n_c cells: the cost of a table depends
+on n_c and not on the span of the data.  The nodes of smaller clusters, and of
+clusters whose table would exceed ``_MAX_GRID`` cells (n_c above about
+1092), go through one vectorized bisection on the exact CDF, whose cost per
+node is the number of centers within 9 sigma.  All paths agree within the
+requested tolerance.
 """
 
 from __future__ import annotations
@@ -54,6 +73,17 @@ _WINDOW_SD = 9.0
 _CELLS_PER_SD = 192
 _MAX_GRID = 1 << 22
 _F4_BOUND = 0.5566  # sup of |phi'''| for the unit Gaussian density
+# gaps wider than this many standard deviations split the centers into
+# clusters that are resampled independently: any point within a table's
+# 10-sigma padding of one cluster is then more than 10 sigma from every
+# other cluster, outside the 9-sigma evaluation window
+_GAP_SD = 20.0
+# clusters with fewer particles are bisected rather than tabled
+_MIN_GRID_N = 48
+# safeguarded Newton iteration on the cubic cells: stop once no step moves
+# by more than this fraction of a cell
+_NEWTON_STEP_TOL = 2.0**-40
+_NEWTON_MAX_ITER = 64
 
 
 @dataclass(frozen=True)
@@ -111,13 +141,10 @@ def smoothed_quantile(sc: SmoothedCdf, w: float, tol: float = DEFAULT_TOL) -> fl
     z = abs(float(ndtri(w)))
     lo = c[0] - sigma * z - 1.0
     hi = c[-1] + sigma * z + 1.0
-
-    def f(x):
-        return _ragged_window_eval(c, sigma, np.array([x]))[0]
-
     widen = hi - lo
     for _ in range(MAX_BRACKET_WIDENINGS):
-        if f(lo) < w <= f(hi):
+        f_lo, f_hi = _ragged_window_eval(c, sigma, np.array([lo, hi]))
+        if f_lo < w <= f_hi:
             break
         lo -= widen
         hi += widen
@@ -127,15 +154,7 @@ def smoothed_quantile(sc: SmoothedCdf, w: float, tol: float = DEFAULT_TOL) -> fl
             "failed to bracket the smoothed quantile after "
             f"{MAX_BRACKET_WIDENINGS} widenings; check inputs for NaN"
         )
-    for _ in range(MAX_BISECT_ITER):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if f(mid) <= w:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(_bisect_nodes(c, sigma, np.array([w]), np.array([lo]), np.array([hi]), tol)[0])
 
 
 def _bisect_nodes(centers, sigma, targets, lo, hi, tol) -> np.ndarray:
@@ -153,13 +172,6 @@ def _bisect_nodes(centers, sigma, targets, lo, hi, tol) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _resample_direct(centers, sigma, targets, tol) -> np.ndarray:
-    # the quantile at node (i - 1/2)/N always lies within 9 sigma of the
-    # i-th sorted center, so these brackets are guaranteed
-    half = _WINDOW_SD * sigma + tol
-    return _bisect_nodes(centers, sigma, targets, centers - half, centers + half, tol)
-
-
 def _grid_cdf_table(centers, sigma, x0, delta, g0):
     """Machine-accurate table of the mixture CDF and density on the uniform
     grid x0 + delta*arange(g0), via the Gaussian semigroup split."""
@@ -168,12 +180,15 @@ def _grid_cdf_table(centers, sigma, x0, delta, g0):
     sigma1 = math.sqrt(sigma * sigma - sigma2 * sigma2)
     m = next_fast_len(g0 + 512)
 
-    # sigma2-mollified atom density, sampled exactly on short windows
+    # sigma2-mollified atom density, sampled exactly on short windows; the
+    # offsets are taken from x0, not from the absolute grid points, whose
+    # rounding far from the origin would swamp the short distances
     halfw = 36  # 9*sigma2 in grid cells
-    mj = np.rint((centers - x0) / delta).astype(np.int64)
+    rel = centers - x0
+    mj = np.rint(rel / delta).astype(np.int64)
     offs = np.arange(-halfw, halfw + 1)
     idx = mj[:, None] + offs[None, :]
-    z = ((x0 + delta * idx) - centers[:, None]) / sigma2
+    z = (delta * idx - rel[:, None]) / sigma2
     weights = np.exp(-0.5 * z * z) / (n * sigma2 * math.sqrt(2.0 * math.pi))
     rho = np.bincount(idx.ravel(), weights=weights.ravel(), minlength=m)
 
@@ -205,18 +220,30 @@ def _resample_grid(centers, sigma, targets, tol, cells_per_sd) -> np.ndarray:
     d0 = np.clip(dens[i0] * delta, 0.0, 3.0 * sec)
     d1 = np.clip(dens[i1] * delta, 0.0, 3.0 * sec)
 
-    # monotone cubic Hermite inversion within each cell
+    # monotone cubic Hermite inversion within each cell: Newton's method
+    # from the secant value, kept inside the bracket [t_lo, t_hi]; a step
+    # that leaves the bracket is replaced by the bracket's midpoint
     c2 = 3.0 * sec - 2.0 * d0 - d1
     c3 = d0 + d1 - 2.0 * sec
+    rhs = targets - f0
     t_lo = np.zeros_like(targets)
     t_hi = np.ones_like(targets)
-    rhs = targets - f0
-    for _ in range(40):
-        t = 0.5 * (t_lo + t_hi)
-        below = ((c3 * t + c2) * t + d0) * t <= rhs
-        t_lo = np.where(below, t, t_lo)
-        t_hi = np.where(below, t_hi, t)
-    out = x0 + delta * (i0 + 0.5 * (t_lo + t_hi))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(sec > 0.0, np.clip(rhs / sec, 0.0, 1.0), 0.5)
+        for _ in range(_NEWTON_MAX_ITER):
+            resid = ((c3 * t + c2) * t + d0) * t - rhs
+            below = resid <= 0.0
+            t_lo = np.where(below, t, t_lo)
+            t_hi = np.where(below, t_hi, t)
+            step = t - resid / ((3.0 * c3 * t + 2.0 * c2) * t + d0)
+            # a step onto a bracket end is kept: at convergence the iterate
+            # is the end just moved, and a strict test would bisect forever
+            t_next = np.where((step >= t_lo) & (step <= t_hi), step, 0.5 * (t_lo + t_hi))
+            moved = np.max(np.abs(t_next - t))
+            t = t_next
+            if moved <= _NEWTON_STEP_TOL:
+                break
+    out = x0 + delta * (i0 + t)
 
     # certify |x - x*| <= tol from the interpolation error bound; the density
     # inside a cell can undershoot its endpoint values by at most
@@ -233,12 +260,50 @@ def _resample_grid(centers, sigma, targets, tol, cells_per_sd) -> np.ndarray:
         fb = _ragged_window_eval(centers, sigma, out[bad])
         db = np.maximum(np.maximum(dens[i0[bad]], dens[i1[bad]]), 1e-300)
         x1 = np.clip(out[bad] - (fb - tb) / db, lo, hi)
-        ok = (_ragged_window_eval(centers, sigma, x1 - 0.5 * tol) <= tb) & (
-            _ragged_window_eval(centers, sigma, x1 + 0.5 * tol) >= tb
+        f_pm = _ragged_window_eval(
+            centers, sigma, np.concatenate([x1 - 0.5 * tol, x1 + 0.5 * tol])
         )
+        ok = (f_pm[: bad.size] <= tb) & (f_pm[bad.size :] >= tb)
         if np.any(~ok):
             x1[~ok] = _bisect_nodes(centers, sigma, tb[~ok], lo[~ok], hi[~ok], tol)
         out[bad] = x1
+    return out
+
+
+def _resample_clusters(centers, sigma, targets, tol, method) -> np.ndarray:
+    """Quantiles at the global nodes ``targets``, solved cluster by cluster
+    (see the module docstring); ``method`` decides which clusters are tabled."""
+    n = centers.size
+    cuts = np.flatnonzero(np.diff(centers) > _GAP_SD * sigma) + 1
+    starts = np.concatenate(([0], cuts))
+    ends = np.concatenate((cuts, [n]))
+    sizes = ends - starts
+    spans = centers[ends - 1] - centers[starts]
+    fits = (spans + 20.0 * sigma) * _CELLS_PER_SD / sigma <= _MAX_GRID
+    if method == "grid":
+        if not fits.all():
+            k = int(np.argmin(fits))
+            raise ValueError(
+                f"method 'grid' needs a table of more than {_MAX_GRID} cells for a "
+                f"cluster of {sizes[k]} particles spanning {spans[k] / sigma:.4g} sigma; "
+                "use method 'auto' or 'bisect'"
+            )
+        tabled = fits
+    elif method == "auto":
+        tabled = fits & (sizes >= _MIN_GRID_N)
+    else:
+        tabled = np.zeros_like(fits)
+
+    out = np.empty(n)
+    for s, e in zip(starts[tabled], ends[tabled]):
+        out[s:e] = _resample_grid(centers[s:e], sigma, midpoint_nodes(e - s), tol, _CELLS_PER_SD)
+    rest = np.flatnonzero(np.repeat(~tabled, sizes))
+    if rest.size:
+        # the quantile at node (i - 1/2)/N always lies within 9 sigma of the
+        # i-th sorted center, so these brackets are guaranteed
+        half = _WINDOW_SD * sigma + tol
+        near = centers[rest]
+        out[rest] = _bisect_nodes(centers, sigma, targets[rest], near - half, near + half, tol)
     return out
 
 
@@ -247,7 +312,9 @@ def heat_resample(
 ) -> ParticleQuantiles:
     """Quantiles of the Gaussian-smoothed particle CDF at the midpoint nodes.
 
-    ``method`` is "auto" (fast path when profitable), "grid" or "bisect";
+    ``method`` is "auto" (a table for each cluster of at least 48 particles
+    whose table fits, bisection for the rest), "grid" (a table for every
+    cluster; ``ValueError`` if one would exceed the grid limit) or "bisect";
     all agree within ``tol``.
     """
     if not (sigma > 0.0):
@@ -257,17 +324,9 @@ def heat_resample(
     centers = pq.positions
     if not np.all(np.isfinite(centers)):
         raise ValueError("positions must be finite")
-    targets = midpoint_nodes(pq.n)
     if method not in ("auto", "grid", "bisect"):
         raise ValueError(f"unknown method {method!r}")
-    span = centers[-1] - centers[0] + 20.0 * sigma
-    if method == "auto":
-        grid_ok = span * _CELLS_PER_SD / sigma <= _MAX_GRID
-        method = "grid" if (pq.n >= 48 and grid_ok) else "bisect"
-    if method == "grid":
-        pos = _resample_grid(centers, sigma, targets, tol, _CELLS_PER_SD)
-    else:
-        pos = _resample_direct(centers, sigma, targets, tol)
+    pos = _resample_clusters(centers, sigma, midpoint_nodes(pq.n), tol, method)
     return ParticleQuantiles(np.sort(pos, kind="stable"))
 
 

@@ -76,6 +76,14 @@ class TestConvergenceStudy:
         # scheme is exact here; only representation error ~ width/(2N) remains
         assert table.column("l1_error")[0] < 2.0 / cfg.n_particles
 
+    @pytest.mark.parametrize(
+        "preset", ["uniform(0,1)", "uniform(0.0, 1.0)", "uniform(0, 1.0)", "uniform( 0 , 1e0 )"]
+    )
+    def test_rarefaction_oracle_reads_preset_numbers(self, preset):
+        table = run_experiment(make_cfg("convergence_study", flux="burgers", a=preset))
+        reference = run_experiment(make_cfg("convergence_study", flux="burgers", a="uniform(0, 1)"))
+        assert table.rows == reference.rows
+
     def test_oracle_unavailable(self):
         cfg = make_cfg("convergence_study", flux="burgers", a="two_atom(0,1)")
         with pytest.raises(ValueError, match="oracle"):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr, ndtri
 
+import claw.viscous as viscous_mod
 from claw.fluxes import make_builtin
 from claw.measures import ParticleQuantiles, midpoint_nodes
 from claw.scheme import th_step
@@ -140,6 +142,82 @@ class TestHeatResample:
     def test_rejects_bad_sigma(self, random_pq):
         with pytest.raises(ValueError):
             heat_resample(random_pq(8, n=8), -1.0)
+
+
+def counting(monkeypatch, name):
+    """Replace viscous.<name> by a wrapper that counts its calls."""
+    calls = []
+    real = getattr(viscous_mod, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(viscous_mod, name, wrapper)
+    return calls
+
+
+class TestClusterSplit:
+    @pytest.mark.parametrize("method", ["auto", "grid"])
+    def test_far_clusters_match_unsplit_quantiles(self, method):
+        # two clusters 2000 apart at sigma = 0.045, span/sigma ~ 4.5e4:
+        # half the mass uniform on a short interval, half near an atom
+        n, sigma, tol = 1024, 0.045, 1e-10
+        left = -1000.0 + 0.5 * midpoint_nodes(n // 2)
+        right = 1000.0 + 0.1 * midpoint_nodes(n // 2) ** 4
+        pq = ParticleQuantiles(np.concatenate([left, right]))
+        out = heat_resample(pq, sigma, tol=tol, method=method)
+        sc = SmoothedCdf(pq, sigma)
+        for i in (0, 1, 200, 510, 511, 512, 513, 700, 1022, 1023):
+            exact = smoothed_quantile(sc, (i + 0.5) / n, tol=tol)
+            assert abs(out.positions[i] - exact) <= 2 * tol
+
+    @pytest.mark.parametrize("gap_sd", [21.0, 30.0])
+    def test_singletons_skip_the_table(self, monkeypatch, gap_sd):
+        n, sigma, tol = 1024, 0.01, 1e-10
+        centers = gap_sd * sigma * np.arange(n)
+        tables = counting(monkeypatch, "_grid_cdf_table")
+        bisections = counting(monkeypatch, "_bisect_nodes")
+        out = heat_resample(ParticleQuantiles(centers), sigma, tol=tol)
+        # each node is the median of its own Gaussian
+        assert np.max(np.abs(out.positions - centers)) <= tol
+        assert (len(tables), len(bisections)) == (0, 1)
+
+    def test_grid_refuses_oversized_cluster(self, monkeypatch):
+        # neighbours 19 sigma apart never split, so the one cluster spans
+        # ~3.8e4 sigma and its table would exceed the grid limit
+        centers = 19.0 * np.arange(2000)
+        tables = counting(monkeypatch, "_grid_cdf_table")
+        with pytest.raises(ValueError, match=r"2000 particles spanning 3\.798e\+04 sigma"):
+            heat_resample(ParticleQuantiles(centers), 1.0, method="grid")
+        assert tables == []
+
+
+@st.composite
+def clustered_atoms(draw):
+    """Atoms sigma << spacing apart, with gaps on both sides of 20 sigma."""
+    sigma = draw(st.sampled_from([0.003, 0.05, 0.7]))
+    gaps = draw(
+        st.lists(
+            st.sampled_from([0.0, 0.5, 3.0, 10.0, 19.0, 19.9, 20.1, 21.0, 45.0, 4e4]),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    sites = sigma * np.concatenate([[0.0], np.cumsum(gaps)])
+    n = draw(st.integers(min_value=40, max_value=60))
+    which = draw(st.lists(st.integers(0, sites.size - 1), min_size=n, max_size=n))
+    return np.sort(sites[which]), sigma
+
+
+@settings(max_examples=30, deadline=None)
+@given(clustered_atoms())
+def test_split_grid_and_bisect_agree(data):
+    centers, sigma = data
+    pq = ParticleQuantiles(centers)
+    b = heat_resample(pq, sigma, method="bisect").positions
+    for method in ("grid", "auto"):
+        assert np.max(np.abs(heat_resample(pq, sigma, method=method).positions - b)) <= 2e-10
 
 
 class TestViscousStep:
