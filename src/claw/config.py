@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fluxes import FluxModel, flux_from_file, make_builtin
-from .lcg import Lcg64
+from .lcg import lcg_floats
 from .measures import ParticleQuantiles, midpoint_nodes
 
 __all__ = [
@@ -284,13 +284,13 @@ def build_initial(spec: dict, n: int, field_name: str = "initial") -> ParticleQu
         atoms = _floats(spec.get("atoms", "-0.5 0.5"), f"{field_name}.atoms")
         if not atoms:
             raise ConfigError(f"field '{field_name}.atoms': needs at least one site")
-        rng = Lcg64(int(args[0]))
-        draws = np.empty(n)
-        for i in range(n):
-            if rng.next_float() < 0.5:
-                draws[i] = rng.uniform(a, b)
-            else:
-                draws[i] = rng.choice(atoms)
+        # draw 2i is the coin, draw 2i+1 the value on either branch, so these
+        # are the IEEE operations of Lcg64.uniform and Lcg64.choice (the
+        # index is never negative, so clipping is choice's min(idx, len - 1))
+        u = lcg_floats(int(args[0]), 2 * n)
+        coin, val = u[0::2], u[1::2]
+        picked = np.take(atoms, (val * len(atoms)).astype(np.intp), mode="clip")
+        draws = np.where(coin < 0.5, a + (b - a) * val, picked)
         return ParticleQuantiles(np.sort(draws, kind="stable"))
     raise ConfigError(
         f"field '{field_name}.preset': unknown preset {name!r}; "

@@ -26,7 +26,7 @@ import numpy as np
 from .fluxes import FluxModel
 from .measures import as_step_cdf
 
-__all__ = ["BumpFamily", "entropy_residual"]
+__all__ = ["BumpFamily", "entropy_residuals", "entropy_residual"]
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,18 @@ def _padded_staircases(states):
     return edges, levels
 
 
-def _residuals_for_levels(states, flux: FluxModel, ks, grid: BumpFamily) -> np.ndarray:
+def entropy_residuals(states, flux: FluxModel, ks, grid: BumpFamily | None = None) -> np.ndarray:
+    """Largest bump residual of the trajectory for each entropy level in ks.
+
+    ``states`` is a list of (t, state) pairs at uniformly spaced times; the
+    states are anything with a StepCdf view.  The geometry of the bumps is
+    shared by all levels.  Output at or below the quadrature noise floor is
+    consistent with admissibility.
+    """
+    if grid is None:
+        grid = BumpFamily()
+    if len(states) < 3:
+        raise ValueError("need at least 3 snapshots to screen a trajectory")
     times = np.array([float(t) for t, _ in states])
     dts = np.diff(times)
     if np.any(dts <= 0) or not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
@@ -138,14 +149,6 @@ def _residuals_for_levels(states, flux: FluxModel, ks, grid: BumpFamily) -> np.n
 
 
 def entropy_residual(states, flux: FluxModel, k: float, grid: BumpFamily | None = None) -> float:
-    """Largest bump residual of the trajectory for the entropy level k.
-
-    ``states`` is a list of (t, state) pairs at uniformly spaced times; the
-    states are anything with a StepCdf view.  Output at or below the
-    quadrature noise floor is consistent with admissibility.
-    """
-    if grid is None:
-        grid = BumpFamily()
-    if len(states) < 3:
-        raise ValueError("need at least 3 snapshots to screen a trajectory")
-    return float(_residuals_for_levels(states, flux, [float(k)], grid)[0])
+    """Largest bump residual of the trajectory for the entropy level k; see
+    ``entropy_residuals``."""
+    return float(entropy_residuals(states, flux, [float(k)], grid)[0])

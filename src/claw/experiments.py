@@ -13,7 +13,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, build_initial, parse_preset
-from .entropy import BumpFamily, _residuals_for_levels
+from .entropy import entropy_residuals
 from .measures import StepCdf, as_step_cdf, moment, tail_moment
 from .scheme import (
     exact_rarefaction_cdf,
@@ -22,7 +22,7 @@ from .scheme import (
     sh_trajectory,
 )
 from .viscous import viscous_trajectory
-from .wasserstein import quantile_staircase, w1_via_cdf, wp_from_staircases
+from .wasserstein import quantile_staircase, w1_via_cdf, wp_from_staircases, wp_trajectory
 
 __all__ = ["ResultTable", "run_experiment", "emit_csv"]
 
@@ -70,13 +70,9 @@ def _sweep_rows(cfg: ExperimentConfig, viscous: bool):
     times = np.linspace(0.0, cfg.t_final, cfg.n_times)
     sa, sb = _pair_trajectories(cfg, times, viscous)
     rows = []
-    w0 = None
-    for t, state_a, state_b in zip(times, sa, sb):
-        stair_a = quantile_staircase(sh_as_cdf(state_a))
-        stair_b = quantile_staircase(sh_as_cdf(state_b))
-        ws = wp_from_staircases(stair_a, stair_b, cfg.p_list)
-        if w0 is None:
-            w0 = ws
+    wps = wp_trajectory(sa, sb, cfg.p_list).tolist()
+    w0 = wps[0]
+    for t, ws in zip(times, wps):
         ratios = [w / w0_i if w0_i > 0 else (1.0 if w == 0 else np.inf) for w, w0_i in zip(ws, w0)]
         row = [t]
         for w, ratio in zip(ws, ratios):
@@ -102,13 +98,9 @@ def _classical_constancy(cfg: ExperimentConfig) -> ResultTable:
     times = np.linspace(0.0, cfg.t_final, cfg.n_times)
     sa, sb = _pair_trajectories(cfg, times, viscous=False)
     rows = []
-    w0 = None
-    for t, state_a, state_b in zip(times, sa, sb):
-        stair_a = quantile_staircase(sh_as_cdf(state_a))
-        stair_b = quantile_staircase(sh_as_cdf(state_b))
-        ws = wp_from_staircases(stair_a, stair_b, cfg.p_list)
-        if w0 is None:
-            w0 = ws
+    wps = wp_trajectory(sa, sb, cfg.p_list).tolist()
+    w0 = wps[0]
+    for t, ws in zip(times, wps):
         rows.append([t] + [abs(w - w0_i) for w, w0_i in zip(ws, w0)])
     cols = ["t"] + [f"drift{p:g}" for p in cfg.p_list]
     return ResultTable(cols, rows, _metadata(cfg))
@@ -175,7 +167,7 @@ def _entropy_residual_table(cfg: ExperimentConfig) -> ResultTable:
     states = sh_trajectory(a0, cfg.flux, cfg.h, times)
     pairs = [(t, sh_as_cdf(s)) for t, s in zip(times, states)]
     ks = np.linspace(0.0, 1.0, 11)
-    residuals = _residuals_for_levels(pairs, cfg.flux, ks, BumpFamily())
+    residuals = entropy_residuals(pairs, cfg.flux, ks)
     rows = [[float(k), float(r)] for k, r in zip(ks, residuals)]
     return ResultTable(["k", "residual"], rows, _metadata(cfg))
 

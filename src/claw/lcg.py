@@ -7,15 +7,29 @@ any library RNG.  The recurrence is
     x_{k+1} = (6364136223846793005 * x_k + 1442695040888963407) mod 2^64
 
 and uniform doubles take the top 53 bits: u = (x >> 11) / 2^53.
+
+``lcg_floats`` produces n successive doubles in O(log n) numpy operations
+by block doubling.  m steps of the recurrence are one affine map
+x_{k+m} = A_m x_k + C_m (mod 2^64), and two such maps compose as
+
+    (A_{2m}, C_{2m}) = (A_m^2, A_m C_m + C_m)  (mod 2^64),
+
+so the states x_1..x_m give x_{m+1}..x_{2m} in one wrapping uint64 multiply
+and add.  The first 16 states come from ``Lcg64`` one step at a time and
+the doubling starts from them.  The states, and hence the doubles, are
+those of ``Lcg64``.
 """
 
 from __future__ import annotations
 
-__all__ = ["Lcg64"]
+import numpy as np
+
+__all__ = ["Lcg64", "lcg_floats"]
 
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
 _MASK = (1 << 64) - 1
+_FIRST_BLOCK_LOG2 = 4
 
 
 class Lcg64:
@@ -36,3 +50,31 @@ class Lcg64:
     def choice(self, items):
         idx = int(self.next_float() * len(items))
         return items[min(idx, len(items) - 1)]
+
+
+def _doubled(mult: int, inc: int) -> tuple[int, int]:
+    """The affine map x -> mult*x + inc applied twice, mod 2^64."""
+    return (mult * mult) & _MASK, (mult * inc + inc) & _MASK
+
+
+def lcg_floats(seed: int, count: int) -> np.ndarray:
+    """The next ``count`` values of ``Lcg64(seed).next_float()``, as an array."""
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
+    # the first block one step at a time: for a few states numpy's per-call
+    # cost exceeds the arithmetic; (mult, inc) then maps x_k to x_{k+m}
+    rng = Lcg64(seed)
+    m = min(count, 1 << _FIRST_BLOCK_LOG2)
+    states = np.empty(count, dtype=np.uint64)
+    states[:m] = [rng.next_u64() for _ in range(m)]
+    mult, inc = _MULT, _INC
+    for _ in range(_FIRST_BLOCK_LOG2):
+        mult, inc = _doubled(mult, inc)
+    while m < count:
+        k = min(m, count - m)
+        # numpy uint64 array arithmetic wraps mod 2^64
+        states[m : m + k] = states[:k] * np.uint64(mult) + np.uint64(inc)
+        mult, inc = _doubled(mult, inc)
+        m *= 2
+    # the top 53 bits convert to float64 exactly; scaling by 2^-53 is exact
+    return (states >> np.uint64(11)) * (1.0 / (1 << 53))

@@ -107,9 +107,16 @@ def collapse(raw: RawPositions) -> ParticleQuantiles:
     return ParticleQuantiles(np.sort(raw.positions, kind="stable"))
 
 
+def _step_positions(positions: np.ndarray, speeds: np.ndarray) -> np.ndarray:
+    """The step kernel: move by the per-node displacements, then collapse."""
+    return np.sort(positions + speeds, kind="stable")
+
+
 def th_step(pq: ParticleQuantiles, flux: FluxModel, h: float) -> ParticleQuantiles:
-    """One transport-collapse step."""
-    return collapse(transport(pq, flux, h))
+    """One transport-collapse step: ``collapse(transport(pq, flux, h))``."""
+    if h < 0:
+        raise ValueError(f"step size must be nonnegative, got {h}")
+    return ParticleQuantiles(_step_positions(pq.positions, h * flux.deriv(pq.nodes)))
 
 
 def decompose_time(t: float, h: float) -> tuple[int, float]:
@@ -129,10 +136,6 @@ def decompose_time(t: float, h: float) -> tuple[int, float]:
         n += 1
         s = 0.0
     return n, s
-
-
-def _step_positions(positions: np.ndarray, speeds: np.ndarray) -> np.ndarray:
-    return np.sort(positions + speeds, kind="stable")
 
 
 def sh_trajectory(

@@ -49,7 +49,7 @@ from scipy.special import ndtr, ndtri
 
 from .fluxes import FluxModel
 from .measures import ParticleQuantiles, midpoint_nodes
-from .scheme import SchemeState, sh_trajectory, th_step
+from .scheme import SchemeState, _step_positions, sh_trajectory, th_step
 
 __all__ = [
     "SmoothedCdf",
@@ -360,7 +360,7 @@ def viscous_trajectory(
     sigma = math.sqrt(2.0 * nu * h)
 
     def step_fn(pos):
-        moved = np.sort(pos + speeds, kind="stable")
+        moved = _step_positions(pos, speeds)
         return heat_resample(ParticleQuantiles(moved), sigma, tol).positions
 
     return sh_trajectory(pq0, flux, h, times, step_fn=step_fn)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from claw.config import ConfigError, build_initial, parse_config
-from claw.lcg import Lcg64
+from claw.lcg import Lcg64, lcg_floats
 
 MINIMAL = """
 kind = contraction_sweep
@@ -144,3 +144,45 @@ class TestLcg:
         us = [rng.next_float() for _ in range(1000)]
         assert all(0.0 <= u < 1.0 for u in us)
         assert 0.4 < np.mean(us) < 0.6
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+@pytest.mark.parametrize("count", [0, 1, 2, 17, 4097])
+def test_lcg_floats_match_successive_draws(seed, count):
+    rng = Lcg64(seed)
+    expected = np.array([rng.next_float() for _ in range(count)])
+    got = lcg_floats(seed, count)
+    assert got.shape == (count,)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def _random_preset_by_loop(seed, n, a=-1.0, b=1.0, atoms=(-0.5, 0.5)):
+    """The random preset as one Lcg64 draw at a time: coin, then value."""
+    rng = Lcg64(seed)
+    draws = np.empty(n)
+    for i in range(n):
+        if rng.next_float() < 0.5:
+            draws[i] = rng.uniform(a, b)
+        else:
+            draws[i] = rng.choice(atoms)
+    return np.sort(draws, kind="stable")
+
+
+@pytest.mark.parametrize(
+    "keys, loop_args",
+    [
+        ({}, {}),
+        ({"a": "-100", "b": "-99.5", "atoms": "100"}, {"a": -100.0, "b": -99.5, "atoms": (100.0,)}),
+        (
+            {"a": "0.1", "b": "0.7", "atoms": "-3 0.2 0.3 7.5 1e-3"},
+            {"a": 0.1, "b": 0.7, "atoms": (-3.0, 0.2, 0.3, 7.5, 1e-3)},
+        ),
+    ],
+)
+def test_random_preset_is_bit_identical_to_the_draw_loop(keys, loop_args):
+    # preset seeds are parsed as doubles, so keep them below 2^53
+    for seed in (0, 9, 2**40 + 3):
+        for n in (1, 3, 64, 1025):
+            got = build_initial({"preset": f"random({seed})", **keys}, n).positions
+            expected = _random_preset_by_loop(seed, n, **loop_args)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))

@@ -116,6 +116,23 @@ class TestHeatResample:
             b = heat_resample(pq, sigma, method="bisect")
             assert np.max(np.abs(g.positions - b.positions)) <= 2e-10
 
+    @pytest.mark.parametrize("sigma", [0.05, 0.3, 1.2])
+    def test_grid_cell_inversion_is_tight(self, random_pq, sigma):
+        # pins the in-cell cubic inversion of the table well below the 2e-10
+        # agreement check: a single Newton step per cell leaves errors near
+        # 7e-11 at sigma = 1.2; every 8th node keeps the reference cheap
+        for seed in range(6):
+            pq = random_pq(seed, n=1024)
+            nodes = np.arange(seed, 1024, 8)
+            near = pq.positions[nodes]
+            half = viscous_mod._WINDOW_SD * sigma + 1e-13
+            targets = midpoint_nodes(1024)[nodes]
+            ref = viscous_mod._bisect_nodes(
+                pq.positions, sigma, targets, near - half, near + half, 1e-13
+            )
+            grid = heat_resample(pq, sigma, method="grid").positions[nodes]
+            assert np.max(np.abs(grid - ref)) <= 2.5e-11
+
     def test_grid_agrees_on_clustered_atoms(self):
         centers = np.sort(np.concatenate([np.full(100, -1.0), np.full(60, 3.0)]))
         pq = ParticleQuantiles(centers)

@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from claw.config import build_initial
+from claw.fluxes import make_builtin
 from claw.measures import (
     MixtureState,
     ParticleQuantiles,
@@ -11,11 +13,15 @@ from claw.measures import (
     cdf_from_particles,
     midpoint_nodes,
 )
+from claw.scheme import sh_as_cdf, sh_trajectory
 from claw.wasserstein import (
+    quantile_staircase,
     w1_via_cdf,
     weak_convergence_gap,
     wp_cdf,
+    wp_from_staircases,
     wp_particles,
+    wp_trajectory,
 )
 
 
@@ -171,3 +177,57 @@ class TestWeakConvergenceGap:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
             weak_convergence_gap([], ParticleQuantiles([0.0]), 1.0, 1.0)
+
+
+@st.composite
+def initial_data(draw):
+    """Random-preset data, or atom-heavy data on a few dyadic sites."""
+    n = draw(st.integers(min_value=1, max_value=64))
+    if draw(st.booleans()):
+        return build_initial({"preset": f"random({draw(st.integers(0, 10**6))})"}, n)
+    sites = draw(st.lists(st.integers(-8, 8), min_size=1, max_size=3))
+    picks = draw(st.lists(st.sampled_from(sites), min_size=n, max_size=n))
+    return ParticleQuantiles(np.sort(np.asarray(picks, dtype=float) / 4.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    initial_data(),
+    initial_data(),
+    st.sampled_from(["burgers", "concave_quadratic", "cubic"]),
+    st.sampled_from([0.1, 0.25]),
+    # quarter steps: every fourth sample time is a step boundary, s = 0
+    st.lists(st.integers(0, 24), min_size=1, max_size=8),
+)
+def test_trajectory_matches_per_state_staircases(a0, b0, flux_name, h, quarters):
+    flux = make_builtin(flux_name)
+    times = h / 4.0 * np.sort(np.asarray(quarters, dtype=float))
+    sa = sh_trajectory(a0, flux, h, times)
+    sb = sh_trajectory(b0, flux, h, times)
+    orders = [1.0, 1.5, 2.0, 3.0]
+    got = wp_trajectory(sa, sb, orders)
+    ref = np.array(
+        [
+            wp_from_staircases(
+                quantile_staircase(sh_as_cdf(x)), quantile_staircase(sh_as_cdf(y)), orders
+            )
+            for x, y in zip(sa, sb)
+        ]
+    )
+    assert got.shape == (times.size, len(orders))
+    assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+
+
+class TestWpTrajectoryErrors:
+    def _states(self, n_times):
+        a0 = build_initial({"preset": "random(1)"}, 16)
+        return sh_trajectory(a0, make_builtin("burgers"), 0.1, np.linspace(0.0, 0.3, n_times))
+
+    def test_order_below_one_rejected(self):
+        states = self._states(3)
+        with pytest.raises(ValueError, match="order"):
+            wp_trajectory(states, states, [2.0, 0.5])
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            wp_trajectory(self._states(3), self._states(4), [1.0])
