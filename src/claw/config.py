@@ -13,7 +13,8 @@ Initial-datum presets (the ``preset`` key of an initial section):
     random(seed)        sorted draws from the documented mixture: with
                         probability 1/2 a uniform draw on [a, b], otherwise
                         one of the ``atoms`` sites, all randomness from the
-                        pinned 64-bit LCG seeded with ``seed``
+                        pinned 64-bit LCG seeded with ``seed``, a
+                        decimal integer in [0, 2^64)
 
 The random preset accepts optional ``a``, ``b`` (default -1, 1) and
 ``atoms`` (default "-0.5 0.5") keys in its section.
@@ -245,13 +246,25 @@ def _validate(cfg: ExperimentConfig):
         build_initial(getattr(cfg, sec), 4, field_name=sec)
 
 
-def parse_preset(spec: dict, field_name: str = "initial") -> tuple[str, tuple[float, ...]]:
-    """The preset name and its numeric arguments, e.g. ("uniform", (0.0, 1.0))."""
+def parse_preset(spec: dict, field_name: str = "initial") -> tuple[str, tuple]:
+    """The preset name and its numeric arguments, e.g. ("uniform", (0.0, 1.0)).
+
+    A random preset's seed is read as an exact integer in [0, 2^64), never
+    through a double, so distinct seeds always give distinct generators.
+    """
     preset = spec.get("preset", "random(7)")
     m = _PRESET_RE.match(preset)
     if not m:
         raise ConfigError(f"field '{field_name}.preset': cannot parse {preset!r}")
-    name, argtext = m.group(1), m.group(2)
+    name, argtext = m.group(1), m.group(2) or ""
+    if name == "random":
+        text = argtext.strip()
+        if not re.fullmatch(r"[0-9]+", text) or int(text) >= 1 << 64:
+            raise ConfigError(
+                f"field '{field_name}.preset': random needs an integer seed in "
+                f"[0, 2^64), got {text!r}"
+            )
+        return name, (int(text),)
     return name, _floats(argtext, f"{field_name}.preset") if argtext else ()
 
 
@@ -275,8 +288,6 @@ def build_initial(spec: dict, n: int, field_name: str = "initial") -> ParticleQu
         half = n // 2
         return ParticleQuantiles(np.concatenate([np.full(n - half, x1), np.full(half, x2)]))
     if name == "random":
-        if len(args) != 1 or args[0] != int(args[0]):
-            raise ConfigError(f"field '{field_name}.preset': random needs an integer seed")
         a = _one_float(spec.get("a", "-1"), f"{field_name}.a")
         b = _one_float(spec.get("b", "1"), f"{field_name}.b")
         if b <= a:
@@ -287,7 +298,7 @@ def build_initial(spec: dict, n: int, field_name: str = "initial") -> ParticleQu
         # draw 2i is the coin, draw 2i+1 the value on either branch, so these
         # are the IEEE operations of Lcg64.uniform and Lcg64.choice (the
         # index is never negative, so clipping is choice's min(idx, len - 1))
-        u = lcg_floats(int(args[0]), 2 * n)
+        u = lcg_floats(args[0], 2 * n)
         coin, val = u[0::2], u[1::2]
         picked = np.take(atoms, (val * len(atoms)).astype(np.intp), mode="clip")
         draws = np.where(coin < 0.5, a + (b - a) * val, picked)

@@ -163,24 +163,25 @@ def sh_trajectory(
     k = 0
     cur = np.asarray(pq0.positions, dtype=float)
     nxt = None
+    # a step array is wrapped (and validated) once, when a state first uses
+    # it; states that share base or next then share the same objects
+    cur_pq, nxt_pq = pq0, None
     for t in times:
         n, s = decompose_time(t, h)
         while k < n:
-            cur = step_fn(cur) if nxt is None else nxt
-            nxt = None
+            if nxt is None:
+                cur, cur_pq = step_fn(cur), None
+            else:
+                cur, cur_pq = nxt, nxt_pq
+            nxt = nxt_pq = None
             k += 1
         if nxt is None:
             nxt = step_fn(cur)
-        out.append(
-            SchemeState(
-                base=ParticleQuantiles(cur),
-                next=ParticleQuantiles(nxt),
-                s=s,
-                h=h,
-                steps_taken=n,
-                flux=flux,
-            )
-        )
+        if cur_pq is None:
+            cur_pq = ParticleQuantiles(cur)
+        if nxt_pq is None:
+            nxt_pq = ParticleQuantiles(nxt)
+        out.append(SchemeState(base=cur_pq, next=nxt_pq, s=s, h=h, steps_taken=n, flux=flux))
     return out
 
 

@@ -7,35 +7,31 @@ midpoint quantile nodes.
 
 The smoothed CDF is the mixture F(x) = (1/N) sum_j Phi((x - c_j)/sigma).
 It is evaluated exactly by summing only the centers within 9 sigma of x and
-counting farther-left centers as full mass; the truncation error is below
-2.3e-19.  ``smoothed_quantile`` inverts it for one level by bisection.
+counting farther-left centers as full mass (truncation error below
+2.3e-19); the same terms give the density F'.  Two certified routes invert
+it.  The exact solver runs a bracketed Newton iteration on F and F' and
+returns x only once F(x - tol/2) <= w <= F(x + tol/2) or its bracket is
+narrower than tol; a node costs a few window sums.  The CDF table splits
+the kernel as phi_sigma = phi_sigma1 * phi_sigma2, with sigma2 tied to the
+grid spacing: the sigma2-mollified atom density is sampled exactly on a
+uniform grid, the sigma1 convolution and the antiderivative are applied
+spectrally, and each monotone cubic Hermite cell is inverted by Newton's
+method from the secant value, safeguarded by a bracket.  Table nodes are
+certified by an interpolation error bound; those in near-flat cells, where
+the bound is too weak, go to the exact solver from the table's value.
 
-``heat_resample`` needs all N quantiles per step.  It first cuts the sorted
-centers wherever a gap exceeds 20 sigma.  Within 10 sigma of a cluster every
-center of another cluster lies more than 9 sigma away, so there the exact
-evaluator gives F(x) = (L + n_c F_c(x))/N, where L centers lie left of the
-cluster and F_c is the mixture of its own n_c centers.  The quantile at a
-node always lies within 9 sigma of the center of the same rank, so the
-global node (L + j + 1/2)/N is exactly the cluster's own node (j + 1/2)/n_c,
-and each cluster is resampled on its own.
-
-A cluster of at least 48 particles gets a CDF table.  The mixture density is
-split through the Gaussian semigroup as phi_sigma = phi_sigma1 * phi_sigma2
-with sigma2 tied to the grid spacing; the sigma2-mollified atom density is
-sampled exactly on a uniform grid (short per-atom windows), and the
-remaining sigma1 convolution and the antiderivative are applied spectrally.
-Each monotone cubic Hermite cell of the resulting machine-accurate table is
-inverted by Newton's method, started from the secant value and safeguarded
-by a bracket.  Every node is certified against an interpolation error
-bound; nodes in near-flat cells get one Newton correction on the exact CDF,
-and those that still miss the tolerance are bisected.  Neighbouring centers
-of a cluster are at most 20 sigma apart, so with its padding its table
-spans at most 20*n_c sigma, or 3840*n_c cells: the cost of a table depends
-on n_c and not on the span of the data.  The nodes of smaller clusters, and of
-clusters whose table would exceed ``_MAX_GRID`` cells (n_c above about
-1092), go through one vectorized bisection on the exact CDF, whose cost per
-node is the number of centers within 9 sigma.  All paths agree within the
-requested tolerance.
+``heat_resample`` first cuts the sorted centers wherever a gap exceeds
+20 sigma.  Within 10 sigma of a cluster every other center lies more than
+9 sigma away, so there F(x) = (L + n_c F_c(x))/N, with L centers left of
+the cluster and F_c the mixture of its own n_c centers.  The quantile at a
+node lies within 9 sigma of the center of the same rank, so the global
+node (L + j + 1/2)/N is exactly the cluster's node (j + 1/2)/n_c and each
+cluster is resampled on its own.  Clusters of at least 48 particles are
+tabled; with its padding a table spans at most 20*n_c sigma, or 3840*n_c
+cells, so its cost depends on n_c and not on the span of the data.  The
+nodes of smaller clusters, and of clusters whose table would exceed
+``_MAX_GRID`` cells (n_c above about 1092), go to the exact solver in one
+call, each started at its same-rank center.
 """
 
 from __future__ import annotations
@@ -62,7 +58,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
-MAX_BISECT_ITER = 200
+MAX_SOLVE_ITER = 200
 MAX_BRACKET_WIDENINGS = 128
 
 # exact-evaluation window, in standard deviations; truncation error in the
@@ -78,7 +74,7 @@ _F4_BOUND = 0.5566  # sup of |phi'''| for the unit Gaussian density
 # 10-sigma padding of one cluster is then more than 10 sigma from every
 # other cluster, outside the 9-sigma evaluation window
 _GAP_SD = 20.0
-# clusters with fewer particles are bisected rather than tabled
+# clusters with fewer particles go to the exact solver rather than a table
 _MIN_GRID_N = 48
 # safeguarded Newton iteration on the cubic cells: stop once no step moves
 # by more than this fraction of a cell
@@ -102,25 +98,24 @@ class SmoothedCdf:
         return smoothed_cdf_eval(self, x)
 
 
-def _ragged_window_eval(centers: np.ndarray, sigma: float, x: np.ndarray) -> np.ndarray:
+def _ragged_window_eval(centers: np.ndarray, sigma: float, x: np.ndarray, density: bool = False):
     """Exact mixture CDF at query points, summing only centers within the
-    9-sigma window and counting farther-left centers as full mass."""
+    9-sigma window and counting farther-left centers as full mass; with
+    ``density`` also the mixture density, from the same window terms."""
     n = centers.size
     half = _WINDOW_SD * sigma
     lo = np.searchsorted(centers, x - half, side="right")
     hi = np.searchsorted(centers, x + half, side="right")
     counts = hi - lo
-    total = int(counts.sum())
-    out = lo.astype(float)
-    if total:
-        owner = np.repeat(np.arange(x.size), counts)
-        starts = np.repeat(lo, counts)
-        within = np.arange(total) - np.repeat(
-            np.concatenate([[0], np.cumsum(counts)[:-1]]), counts
-        )
-        z = (x[owner] - centers[starts + within]) / sigma
-        out += np.bincount(owner, weights=ndtr(z), minlength=x.size)
-    return out / n
+    owner = np.repeat(np.arange(x.size), counts)
+    # term k of query q sums center lo[q] + (k - first term of q)
+    idx = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    z = (x[owner] - centers[idx]) / sigma
+    cdf = (lo + np.bincount(owner, weights=ndtr(z), minlength=x.size)) / n
+    if not density:
+        return cdf
+    dens = np.bincount(owner, weights=np.exp(-0.5 * z * z), minlength=x.size)
+    return cdf, dens / (n * sigma * math.sqrt(2.0 * math.pi))
 
 
 def smoothed_cdf_eval(sc: SmoothedCdf, x):
@@ -131,7 +126,8 @@ def smoothed_cdf_eval(sc: SmoothedCdf, x):
 
 
 def smoothed_quantile(sc: SmoothedCdf, w: float, tol: float = DEFAULT_TOL) -> float:
-    """The unique x with F(x) = w, by bracketing bisection to width <= tol."""
+    """The unique x with F(x) = w, within tol/2, by the exact solver from a
+    bracket widened until it holds the level."""
     if not (0.0 < w < 1.0):
         raise ValueError(f"quantile level must lie in (0, 1), got {w}")
     if not (tol > 0.0):
@@ -154,22 +150,50 @@ def smoothed_quantile(sc: SmoothedCdf, w: float, tol: float = DEFAULT_TOL) -> fl
             "failed to bracket the smoothed quantile after "
             f"{MAX_BRACKET_WIDENINGS} widenings; check inputs for NaN"
         )
-    return float(_bisect_nodes(c, sigma, np.array([w]), np.array([lo]), np.array([hi]), tol)[0])
+    # the center of the same rank lies inside every bracket tried above
+    start = c[min(int(w * c.size), c.size - 1)]
+    return float(_solve_nodes(c, sigma, *map(np.atleast_1d, (w, start, lo, hi)), tol)[0])
 
 
-def _bisect_nodes(centers, sigma, targets, lo, hi, tol) -> np.ndarray:
-    """Vectorized bisection on the exact mixture CDF from valid brackets."""
-    lo = lo.copy()
-    hi = hi.copy()
-    for _ in range(MAX_BISECT_ITER):
-        active = np.nonzero(hi - lo > tol)[0]
-        if active.size == 0:
+def _solve_nodes(centers, sigma, targets, x, lo, hi, tol) -> np.ndarray:
+    """Roots of F = targets within tol/2 from starts x in brackets with
+    F(lo) <= w < F(hi).  A Newton pass takes F and F' at x from one window
+    sum; after a step of at most tol/2 a certifying pass ends the node if
+    F(x - tol/2) <= w <= F(x + tol/2).  Every probe moves a bracket end; a
+    bracket narrower than tol ends the node at its midpoint, which also
+    replaces a failed certificate and a Newton step leaving the bracket."""
+    x, lo, hi = x.copy(), lo.copy(), hi.copy()
+    due = np.zeros(targets.size, dtype=bool)
+    half = 0.5 * tol
+    act = np.arange(targets.size)
+    for _ in range(MAX_SOLVE_ITER):
+        if act.size == 0:
             break
-        mid = 0.5 * (lo[active] + hi[active])
-        below = _ragged_window_eval(centers, sigma, mid) <= targets[active]
-        lo[active] = np.where(below, mid, lo[active])
-        hi[active] = np.where(below, hi[active], mid)
-    return 0.5 * (lo + hi)
+        run = act[~due[act]]
+        if run.size:
+            xa, w = x[run], targets[run]
+            f, d = _ragged_window_eval(centers, sigma, xa, density=True)
+            lo[run] = la = np.where(f <= w, xa, lo[run])
+            hi[run] = ha = np.where(f > w, xa, hi[run])
+            step = xa - np.divide(f - w, d, out=np.full_like(d, np.inf), where=d > 0.0)
+            inside = (step >= la) & (step <= ha)
+            due[run] = short = inside & (np.abs(step - xa) <= half)
+            narrow = (ha - la <= tol) & ~short
+            x[run] = np.where(inside & ~narrow, step, 0.5 * (la + ha))
+            if narrow.any():
+                act = np.setdiff1d(act, run[narrow], assume_unique=True)
+        else:
+            xa, w = x[act], targets[act]
+            # two window sums, not one over both probe sets, halve the peak memory
+            f_lo = _ragged_window_eval(centers, sigma, xa - half)
+            f_hi = _ragged_window_eval(centers, sigma, xa + half)
+            done = (f_lo <= w) & (w <= f_hi)
+            lo[act] = la = np.where(f_hi <= w, xa + half, lo[act])
+            hi[act] = ha = np.where(f_lo > w, xa - half, hi[act])
+            x[act] = np.where(done, xa, 0.5 * (la + ha))
+            due[act] = False
+            act = act[~done]
+    return x
 
 
 def _grid_cdf_table(centers, sigma, x0, delta, g0):
@@ -252,47 +276,24 @@ def _resample_grid(centers, sigma, targets, tol, cells_per_sd) -> np.ndarray:
     min_slope = np.minimum(dens[i0], dens[i1]) - slope_slack
     bad = np.nonzero(min_slope * tol < 2.0 * hermite_err)[0]
     if bad.size:
-        # near-flat cells: one Newton correction with exact CDF values, then
-        # verify the half-tol bracket directly; stragglers get bisected
-        tb = targets[bad]
+        # near-flat cells: the exact solver from the table's value, within
+        # the cell and its neighbours
         lo = x0 + delta * np.maximum(i0[bad] - 1, 0)
         hi = x0 + delta * np.minimum(i1[bad] + 1, g0 - 1)
-        fb = _ragged_window_eval(centers, sigma, out[bad])
-        db = np.maximum(np.maximum(dens[i0[bad]], dens[i1[bad]]), 1e-300)
-        x1 = np.clip(out[bad] - (fb - tb) / db, lo, hi)
-        f_pm = _ragged_window_eval(
-            centers, sigma, np.concatenate([x1 - 0.5 * tol, x1 + 0.5 * tol])
-        )
-        ok = (f_pm[: bad.size] <= tb) & (f_pm[bad.size :] >= tb)
-        if np.any(~ok):
-            x1[~ok] = _bisect_nodes(centers, sigma, tb[~ok], lo[~ok], hi[~ok], tol)
-        out[bad] = x1
+        out[bad] = _solve_nodes(centers, sigma, targets[bad], out[bad], lo, hi, tol)
     return out
 
 
-def _resample_clusters(centers, sigma, targets, tol, method) -> np.ndarray:
+def _resample_clusters(centers, sigma, targets, tol) -> np.ndarray:
     """Quantiles at the global nodes ``targets``, solved cluster by cluster
-    (see the module docstring); ``method`` decides which clusters are tabled."""
+    (see the module docstring)."""
     n = centers.size
     cuts = np.flatnonzero(np.diff(centers) > _GAP_SD * sigma) + 1
     starts = np.concatenate(([0], cuts))
     ends = np.concatenate((cuts, [n]))
     sizes = ends - starts
     spans = centers[ends - 1] - centers[starts]
-    fits = (spans + 20.0 * sigma) * _CELLS_PER_SD / sigma <= _MAX_GRID
-    if method == "grid":
-        if not fits.all():
-            k = int(np.argmin(fits))
-            raise ValueError(
-                f"method 'grid' needs a table of more than {_MAX_GRID} cells for a "
-                f"cluster of {sizes[k]} particles spanning {spans[k] / sigma:.4g} sigma; "
-                "use method 'auto' or 'bisect'"
-            )
-        tabled = fits
-    elif method == "auto":
-        tabled = fits & (sizes >= _MIN_GRID_N)
-    else:
-        tabled = np.zeros_like(fits)
+    tabled = (sizes >= _MIN_GRID_N) & ((spans + 20.0 * sigma) * _CELLS_PER_SD / sigma <= _MAX_GRID)
 
     out = np.empty(n)
     for s, e in zip(starts[tabled], ends[tabled]):
@@ -303,19 +304,19 @@ def _resample_clusters(centers, sigma, targets, tol, method) -> np.ndarray:
         # i-th sorted center, so these brackets are guaranteed
         half = _WINDOW_SD * sigma + tol
         near = centers[rest]
-        out[rest] = _bisect_nodes(centers, sigma, targets[rest], near - half, near + half, tol)
+        out[rest] = _solve_nodes(centers, sigma, targets[rest], near, near - half, near + half, tol)
     return out
 
 
 def heat_resample(
-    pq: ParticleQuantiles, sigma: float, tol: float = DEFAULT_TOL, method: str = "auto"
+    pq: ParticleQuantiles, sigma: float, tol: float = DEFAULT_TOL
 ) -> ParticleQuantiles:
-    """Quantiles of the Gaussian-smoothed particle CDF at the midpoint nodes.
+    """Quantiles of the Gaussian-smoothed particle CDF at the midpoint nodes,
+    each within ``tol`` of the exact one.
 
-    ``method`` is "auto" (a table for each cluster of at least 48 particles
-    whose table fits, bisection for the rest), "grid" (a table for every
-    cluster; ``ValueError`` if one would exceed the grid limit) or "bisect";
-    all agree within ``tol``.
+    Clusters of at least 48 particles whose table fits are inverted through
+    the certified CDF table, all other nodes by the certified exact solver
+    (see the module docstring).
     """
     if not (sigma > 0.0):
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -324,9 +325,7 @@ def heat_resample(
     centers = pq.positions
     if not np.all(np.isfinite(centers)):
         raise ValueError("positions must be finite")
-    if method not in ("auto", "grid", "bisect"):
-        raise ValueError(f"unknown method {method!r}")
-    pos = _resample_clusters(centers, sigma, midpoint_nodes(pq.n), tol, method)
+    pos = _resample_clusters(centers, sigma, midpoint_nodes(pq.n), tol)
     return ParticleQuantiles(np.sort(pos, kind="stable"))
 
 

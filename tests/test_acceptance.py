@@ -6,6 +6,29 @@ the W1/L1 identity, optimality of the sorted coupling, shock convergence,
 monotone-regime exactness, moment and tail bounds, time Lipschitz bounds,
 the viscous variants, entropy screening, and byte determinism of the CLI.
 Random data comes from the pinned LCG so every run sees the same cases.
+
+Float allowances.  In exact arithmetic every contraction ratio is at most 1
+and every constant distance stays constant; each gate allows this much float
+error and no more:
+
+* ``INVISCID_RATIO_SLACK`` = 1e-10 (criterion 1).  The transport-collapse
+  step and the W_p evaluation are exact up to rounding: each step rounds
+  x + h*f'(w) once and the sort moves no value, so 200 steps leave errors
+  near 1e-14 relative (the measured worst ratio is 1 + 2e-15), while a real
+  loss of contraction would be O(h) or O(1/N).
+* ``CONSTANCY_DRIFT_SLACK`` = 1e-12 (criterion 2).  A rigid translation by
+  c keeps W_p = c; only the rounding of positions of size ~1 enters.
+* ``VISCOUS_RATIO_SLACK`` = 1e-6 (criterion 9).  Resampling the smoothed
+  CDF at the midpoint nodes is not an exact W_p contraction: the discrete
+  ratio exceeds 1 by a quadrature error that shrinks with N.  At N = 1024
+  it stays below 1e-6; at N = 128 it reaches 1 + 1.9e-4 on some pairs, so
+  this gate is stated at N = 1024.
+* ``HEAT_KERNEL_SLACK`` = 5e-10 (criterion 10), 5 times the tolerance
+  ``heat_resample`` certifies per position (1e-10).  Each resampled
+  position is within that tolerance of its exact quantile, so the two
+  systems together move W_p by at most 2e-10; the rest is margin for the
+  O(1/N^2) midpoint overshoot, which at N = 1024 the strict contraction of
+  the heat kernel outweighs.
 """
 
 import itertools
@@ -45,10 +68,16 @@ from claw.wasserstein import (
     wp_particles,
     wp_trajectory,
 )
-from claw.entropy import entropy_residual
+from claw.entropy import entropy_residuals
 
 N_PARTICLES = 1024
 P_ORDERS = (1.0, 2.0, 3.0)
+
+# float allowances of the contraction gates (module docstring)
+INVISCID_RATIO_SLACK = 1e-10
+CONSTANCY_DRIFT_SLACK = 1e-12
+VISCOUS_RATIO_SLACK = 1e-6
+HEAT_KERNEL_SLACK = 5.0 * 1e-10
 
 
 def _report(num, ok, detail):
@@ -91,9 +120,9 @@ def test_criterion_01_inviscid_wp_contraction():
             sb = sh_trajectory(b0, flux, h, times)
             worst = max(worst, _worst_ratio(sa, sb, w0))
     elapsed = time.time() - t0
-    ok = worst <= 1.0 + 1e-10
+    ok = worst <= 1.0 + INVISCID_RATIO_SLACK
     _report(1, ok, f"worst W_p(t)/W_p(0) = {worst:.15f} over 200 pairs, {elapsed:.1f}s")
-    assert ok, f"contraction ratio {worst} exceeds 1 + 1e-10"
+    assert ok, f"contraction ratio {worst} exceeds 1 + {INVISCID_RATIO_SLACK}"
     assert elapsed < 60.0
 
 
@@ -108,9 +137,9 @@ def test_criterion_02_classical_constancy():
         sa = sh_trajectory(a0, flux, h, times)
         sb = sh_trajectory(b0, flux, h, times)
         worst = max(worst, float(np.max(np.abs(wp_trajectory(sa, sb, P_ORDERS) - c))))
-    ok = worst <= 1e-12
+    ok = worst <= CONSTANCY_DRIFT_SLACK
     _report(2, ok, f"worst |W_p(t) - c| = {worst:.3e}")
-    assert ok, f"classical constancy drift {worst} exceeds 1e-12"
+    assert ok, f"classical constancy drift {worst} exceeds {CONSTANCY_DRIFT_SLACK}"
 
 
 def test_criterion_03_w1_identity():
@@ -280,9 +309,9 @@ def test_criterion_09_viscous_wp_contraction():
             sb = viscous_trajectory(b0, flux, h, nu, times)
             worst = max(worst, _worst_ratio(sa, sb, w0))
     elapsed = time.time() - t0
-    ok = worst <= 1.0 + 1e-6
+    ok = worst <= 1.0 + VISCOUS_RATIO_SLACK
     _report(9, ok, f"worst ratio over {n_pairs} pairs = {worst:.9f}, {elapsed:.1f}s")
-    assert ok, f"viscous contraction ratio {worst} exceeds 1 + 1e-6"
+    assert ok, f"viscous contraction ratio {worst} exceeds 1 + {VISCOUS_RATIO_SLACK}"
     assert elapsed < 120.0
 
 
@@ -295,9 +324,10 @@ def test_criterion_10_heat_kernel_contraction():
             rb = heat_resample(b, sigma)
             for p in P_ORDERS:
                 worst = max(worst, wp_particles(ra, rb, p) - wp_particles(a, b, p))
-    slack = 5.0 * 1e-10
-    ok = worst <= slack
-    _report(10, ok, f"worst W_p increase under smoothing = {worst:.3e} (slack {slack:.1e})")
+    ok = worst <= HEAT_KERNEL_SLACK
+    _report(
+        10, ok, f"worst W_p increase under smoothing = {worst:.3e} (slack {HEAT_KERNEL_SLACK:.1e})"
+    )
     assert ok
 
 
@@ -311,9 +341,9 @@ def test_criterion_11_entropy_residual_screening():
     reversed_shock = [(t, state) for t, (_, state) in zip(times, reversed(shock))]
 
     ks = np.linspace(0.0, 1.0, 11)
-    shock_worst = max(entropy_residual(shock, concave, float(k)) for k in ks)
-    rare_worst = max(entropy_residual(rare, burgers, float(k)) for k in ks)
-    detector = max(entropy_residual(reversed_shock, concave, float(k)) for k in ks)
+    shock_worst = float(np.max(entropy_residuals(shock, concave, ks)))
+    rare_worst = float(np.max(entropy_residuals(rare, burgers, ks)))
+    detector = float(np.max(entropy_residuals(reversed_shock, concave, ks)))
     ok = shock_worst <= 1e-3 and rare_worst <= 1e-3 and detector > 0.01
     _report(
         11,

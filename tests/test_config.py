@@ -180,9 +180,37 @@ def _random_preset_by_loop(seed, n, a=-1.0, b=1.0, atoms=(-0.5, 0.5)):
     ],
 )
 def test_random_preset_is_bit_identical_to_the_draw_loop(keys, loop_args):
-    # preset seeds are parsed as doubles, so keep them below 2^53
-    for seed in (0, 9, 2**40 + 3):
+    for seed in (0, 9, 2**40 + 3, 2**63 + 5):
         for n in (1, 3, 64, 1025):
             got = build_initial({"preset": f"random({seed})", **keys}, n).positions
             expected = _random_preset_by_loop(seed, n, **loop_args)
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_random_seeds_above_2_to_53_stay_distinct():
+    big = build_initial({"preset": f"random({2**63 + 5})"}, 256).positions
+    other = build_initial({"preset": f"random({2**63})"}, 256).positions
+    assert not np.array_equal(big, other)
+    expected = _random_preset_by_loop(2**63 + 5, 256)
+    assert np.array_equal(big.view(np.uint64), expected.view(np.uint64))
+    top = build_initial({"preset": f"random({2**64 - 1})"}, 16).positions
+    assert np.array_equal(top.view(np.uint64), _random_preset_by_loop(2**64 - 1, 16).view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "preset", ["random(-1)", "random(18446744073709551616)", "random(1e30)", "random(7.5)",
+               "random(7.0)", "random(+7)", "random(7_0)", "random()", "random(1, 2)"]
+)
+def test_random_rejects_seeds_that_are_not_64_bit_integers(preset):
+    with pytest.raises(ConfigError, match="integer seed"):
+        build_initial({"preset": preset}, 4)
+
+
+def test_random_seed_spellings_in_use_are_unchanged():
+    # the plain decimal seeds of the tests and the benchmark pools, with
+    # the whitespace and leading zeros the preset grammar allows
+    for seed in (0, 1, 3, 7, 8, 42, 900, 1000, 2001, 3000, 4099, 5000, 30000, 30906, 50000, 51999):
+        expected = _random_preset_by_loop(seed, 64).view(np.uint64)
+        for text in (f"random({seed})", f"random( {seed} )", f"random(00{seed})"):
+            got = build_initial({"preset": text}, 64).positions
+            assert np.array_equal(got.view(np.uint64), expected)

@@ -144,6 +144,23 @@ class TestEvolveSh:
             assert np.array_equal(state.base.positions, single.base.positions)
             assert state.s == single.s
 
+    def test_states_sharing_a_step_share_its_objects(self, random_pq):
+        pq, h = random_pq(21), 0.1
+        states = sh_trajectory(pq, burgers, h, np.linspace(0.0, 2.0, 64))
+        steps = [pq]
+        while len(steps) < states[-1].steps_taken + 2:
+            steps.append(th_step(steps[-1], burgers, h))
+        for st in states:
+            assert st.base.positions.tobytes() == steps[st.steps_taken].positions.tobytes()
+            assert st.next.positions.tobytes() == steps[st.steps_taken + 1].positions.tobytes()
+        for prev, st in zip(states, states[1:]):
+            if st.steps_taken == prev.steps_taken:
+                assert st.base is prev.base and st.next is prev.next
+            elif st.steps_taken == prev.steps_taken + 1:
+                assert st.base is prev.next
+        distinct = {id(x) for st in states for x in (st.base, st.next)}
+        assert len(distinct) == states[-1].steps_taken + 2
+
     def test_unsorted_times_rejected(self, random_pq):
         with pytest.raises(ValueError):
             sh_trajectory(random_pq(9), burgers, 0.1, [0.5, 0.1])

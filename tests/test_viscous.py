@@ -25,6 +25,21 @@ def dirac(n, x=0.0):
     return ParticleQuantiles(np.full(n, x))
 
 
+def exact_nodes(pq, sigma, nodes=None, tol=1e-13):
+    """Reference quantiles at midpoint nodes: the exact solver at a tight
+    tolerance, bracketed by the same-rank centers."""
+    nodes = np.arange(pq.n) if nodes is None else nodes
+    near = pq.positions[nodes]
+    half = viscous_mod._WINDOW_SD * sigma + tol
+    targets = midpoint_nodes(pq.n)[nodes]
+    return viscous_mod._solve_nodes(pq.positions, sigma, targets, near, near - half, near + half, tol)
+
+
+def full_sum_cdf(centers, sigma, x):
+    """The mixture CDF by the brute-force sum over every center."""
+    return ndtr((x[:, None] - centers[None, :]) / sigma).mean(axis=1)
+
+
 class TestSmoothedCdfEval:
     def test_center_symmetry(self):
         sc = SmoothedCdf(dirac(3), 0.7)
@@ -110,11 +125,11 @@ class TestHeatResample:
         assert np.max(np.abs(b.positions - a.positions - 2.0)) < 1e-9
 
     def test_grid_and_bisect_agree(self, random_pq):
+        # the table against the exact solver at a 1000x tighter tolerance
         for seed, sigma in [(0, 0.05), (1, 0.3), (2, 1.2)]:
             pq = random_pq(seed, n=300)
-            g = heat_resample(pq, sigma, method="grid")
-            b = heat_resample(pq, sigma, method="bisect")
-            assert np.max(np.abs(g.positions - b.positions)) <= 2e-10
+            g = heat_resample(pq, sigma)
+            assert np.max(np.abs(g.positions - exact_nodes(pq, sigma))) <= 2e-10
 
     @pytest.mark.parametrize("sigma", [0.05, 0.3, 1.2])
     def test_grid_cell_inversion_is_tight(self, random_pq, sigma):
@@ -124,21 +139,14 @@ class TestHeatResample:
         for seed in range(6):
             pq = random_pq(seed, n=1024)
             nodes = np.arange(seed, 1024, 8)
-            near = pq.positions[nodes]
-            half = viscous_mod._WINDOW_SD * sigma + 1e-13
-            targets = midpoint_nodes(1024)[nodes]
-            ref = viscous_mod._bisect_nodes(
-                pq.positions, sigma, targets, near - half, near + half, 1e-13
-            )
-            grid = heat_resample(pq, sigma, method="grid").positions[nodes]
-            assert np.max(np.abs(grid - ref)) <= 2.5e-11
+            grid = heat_resample(pq, sigma).positions[nodes]
+            assert np.max(np.abs(grid - exact_nodes(pq, sigma, nodes))) <= 2.5e-11
 
     def test_grid_agrees_on_clustered_atoms(self):
         centers = np.sort(np.concatenate([np.full(100, -1.0), np.full(60, 3.0)]))
         pq = ParticleQuantiles(centers)
-        g = heat_resample(pq, 0.15, method="grid")
-        b = heat_resample(pq, 0.15, method="bisect")
-        assert np.max(np.abs(g.positions - b.positions)) <= 2e-10
+        g = heat_resample(pq, 0.15)
+        assert np.max(np.abs(g.positions - exact_nodes(pq, 0.15))) <= 2e-10
 
     def test_matches_single_quantile_op(self, random_pq):
         pq = random_pq(7, n=48)
@@ -175,15 +183,14 @@ def counting(monkeypatch, name):
 
 
 class TestClusterSplit:
-    @pytest.mark.parametrize("method", ["auto", "grid"])
-    def test_far_clusters_match_unsplit_quantiles(self, method):
+    def test_far_clusters_match_unsplit_quantiles(self):
         # two clusters 2000 apart at sigma = 0.045, span/sigma ~ 4.5e4:
         # half the mass uniform on a short interval, half near an atom
         n, sigma, tol = 1024, 0.045, 1e-10
         left = -1000.0 + 0.5 * midpoint_nodes(n // 2)
         right = 1000.0 + 0.1 * midpoint_nodes(n // 2) ** 4
         pq = ParticleQuantiles(np.concatenate([left, right]))
-        out = heat_resample(pq, sigma, tol=tol, method=method)
+        out = heat_resample(pq, sigma, tol=tol)
         sc = SmoothedCdf(pq, sigma)
         for i in (0, 1, 200, 510, 511, 512, 513, 700, 1022, 1023):
             exact = smoothed_quantile(sc, (i + 0.5) / n, tol=tol)
@@ -194,20 +201,24 @@ class TestClusterSplit:
         n, sigma, tol = 1024, 0.01, 1e-10
         centers = gap_sd * sigma * np.arange(n)
         tables = counting(monkeypatch, "_grid_cdf_table")
-        bisections = counting(monkeypatch, "_bisect_nodes")
+        solves = counting(monkeypatch, "_solve_nodes")
         out = heat_resample(ParticleQuantiles(centers), sigma, tol=tol)
         # each node is the median of its own Gaussian
         assert np.max(np.abs(out.positions - centers)) <= tol
-        assert (len(tables), len(bisections)) == (0, 1)
+        assert (len(tables), len(solves)) == (0, 1)
 
-    def test_grid_refuses_oversized_cluster(self, monkeypatch):
+    def test_oversized_cluster_skips_the_table(self, monkeypatch):
         # neighbours 19 sigma apart never split, so the one cluster spans
         # ~3.8e4 sigma and its table would exceed the grid limit
-        centers = 19.0 * np.arange(2000)
+        n, tol = 2000, 1e-10
+        pq = ParticleQuantiles(19.0 * np.arange(n))
         tables = counting(monkeypatch, "_grid_cdf_table")
-        with pytest.raises(ValueError, match=r"2000 particles spanning 3\.798e\+04 sigma"):
-            heat_resample(ParticleQuantiles(centers), 1.0, method="grid")
+        out = heat_resample(pq, 1.0, tol=tol)
         assert tables == []
+        sc = SmoothedCdf(pq, 1.0)
+        for i in (0, 1, 999, 1000, 1998, 1999):
+            exact = smoothed_quantile(sc, (i + 0.5) / n, tol=tol)
+            assert abs(out.positions[i] - exact) <= 2 * tol
 
 
 @st.composite
@@ -222,7 +233,7 @@ def clustered_atoms(draw):
         )
     )
     sites = sigma * np.concatenate([[0.0], np.cumsum(gaps)])
-    n = draw(st.integers(min_value=40, max_value=60))
+    n = draw(st.integers(min_value=40, max_value=120))
     which = draw(st.lists(st.integers(0, sites.size - 1), min_size=n, max_size=n))
     return np.sort(sites[which]), sigma
 
@@ -230,11 +241,67 @@ def clustered_atoms(draw):
 @settings(max_examples=30, deadline=None)
 @given(clustered_atoms())
 def test_split_grid_and_bisect_agree(data):
+    # clusters on both sides of the table's 48-particle threshold occur
     centers, sigma = data
     pq = ParticleQuantiles(centers)
-    b = heat_resample(pq, sigma, method="bisect").positions
-    for method in ("grid", "auto"):
-        assert np.max(np.abs(heat_resample(pq, sigma, method=method).positions - b)) <= 2e-10
+    out = heat_resample(pq, sigma).positions
+    assert np.max(np.abs(out - exact_nodes(pq, sigma))) <= 2e-10
+
+
+@st.composite
+def solver_problems(draw):
+    """Centers with near-flat gaps, levels anywhere in (0, 1), and starts
+    anywhere in the guaranteed bracket about the same-rank center."""
+    sigma = draw(st.sampled_from([0.003, 0.05, 0.7, 3.0]))
+    tol = draw(st.sampled_from([1e-10, 1e-8, 1e-6]))
+    gaps = draw(st.lists(st.sampled_from([0.0, 0.5, 3.0, 10.0, 15.0, 19.9, 30.0]), max_size=6))
+    sites = sigma * np.concatenate([[0.0], np.cumsum(gaps)])
+    n = draw(st.integers(min_value=1, max_value=40))
+    which = draw(st.lists(st.integers(0, sites.size - 1), min_size=n, max_size=n))
+    centers = np.sort(sites[which])
+    levels = np.array(draw(st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=8)))
+    starts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=levels.size, max_size=levels.size)))
+    return centers, sigma, tol, levels, starts
+
+
+@settings(max_examples=60, deadline=None)
+@given(solver_problems())
+def test_solver_answers_are_certified(problem):
+    centers, sigma, tol, w, starts = problem
+    # the root lies within 9 sigma of the same-rank center; one rank of
+    # slack on each side absorbs the rounding of w*n
+    rank = np.minimum((w * centers.size).astype(int), centers.size - 1)
+    half = viscous_mod._WINDOW_SD * sigma + tol
+    lo = centers[np.maximum(rank - 1, 0)] - half
+    hi = centers[np.minimum(rank + 1, centers.size - 1)] + half
+    x0 = centers[rank] + starts * half
+    x = viscous_mod._solve_nodes(centers, sigma, w, x0, lo, hi, tol)
+    # the windowed and the full sum round differently by a few ulps, which
+    # decides nothing except on a plateau between far atoms, where F stays
+    # within rounding of a level such as w = 1/2 over many tol
+    ulps = 8 * np.finfo(float).eps
+    assert np.all(full_sum_cdf(centers, sigma, x - 0.5 * tol) <= w + ulps)
+    assert np.all(w - ulps <= full_sum_cdf(centers, sigma, x + 0.5 * tol))
+
+
+@pytest.mark.parametrize("scale", [0.3, 3.0])
+def test_solver_certifies_with_a_wrong_density(monkeypatch, random_pq, scale):
+    # answers rest on F values alone: a density off by a constant factor
+    # makes Newton overshoot or crawl, yet every node must stay certified
+    real = viscous_mod._ragged_window_eval
+
+    def skewed(centers, sigma, x, density=False):
+        if not density:
+            return real(centers, sigma, x)
+        f, d = real(centers, sigma, x, density=True)
+        return f, scale * d
+
+    monkeypatch.setattr(viscous_mod, "_ragged_window_eval", skewed)
+    pq, sigma, tol = random_pq(16, n=200), 0.05, 1e-6
+    x = exact_nodes(pq, sigma, tol=tol)
+    w = midpoint_nodes(pq.n)
+    assert np.all(full_sum_cdf(pq.positions, sigma, x - 0.5 * tol) <= w)
+    assert np.all(w <= full_sum_cdf(pq.positions, sigma, x + 0.5 * tol))
 
 
 class TestViscousStep:
