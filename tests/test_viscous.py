@@ -183,14 +183,22 @@ def counting(monkeypatch, name):
 
 
 class TestClusterSplit:
-    def test_far_clusters_match_unsplit_quantiles(self):
+    @pytest.mark.parametrize("route", ["auto", "grid"])
+    def test_far_clusters_match_unsplit_quantiles(self, monkeypatch, route):
         # two clusters 2000 apart at sigma = 0.045, span/sigma ~ 4.5e4:
-        # half the mass uniform on a short interval, half near an atom
+        # half the mass uniform on a short interval, half near an atom.
+        # "auto" leaves the routing alone; "grid" also checks that each
+        # cluster got a table of its own and no node fell to the exact solver
         n, sigma, tol = 1024, 0.045, 1e-10
         left = -1000.0 + 0.5 * midpoint_nodes(n // 2)
         right = 1000.0 + 0.1 * midpoint_nodes(n // 2) ** 4
         pq = ParticleQuantiles(np.concatenate([left, right]))
+        if route == "grid":
+            tables = counting(monkeypatch, "_grid_cdf_table")
+            solves = counting(monkeypatch, "_solve_nodes")
         out = heat_resample(pq, sigma, tol=tol)
+        if route == "grid":
+            assert (len(tables), len(solves)) == (2, 0)
         sc = SmoothedCdf(pq, sigma)
         for i in (0, 1, 200, 510, 511, 512, 513, 700, 1022, 1023):
             exact = smoothed_quantile(sc, (i + 0.5) / n, tol=tol)
