@@ -123,9 +123,12 @@ def _parse_lines(text: str):
 def _floats(value: str, key: str):
     parts = [p for p in re.split(r"[,\s]+", value.strip()) if p]
     try:
-        return tuple(float(p) for p in parts)
+        vals = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"field {key!r}: cannot parse {value!r} as numbers") from exc
+    if not all(np.isfinite(vals)):
+        raise ConfigError(f"field {key!r}: expected finite numbers, got {value!r}")
+    return vals
 
 
 def _one_float(value: str, key: str) -> float:
@@ -136,10 +139,14 @@ def _one_float(value: str, key: str) -> float:
 
 
 def _one_int(value: str, key: str) -> int:
-    x = _one_float(value, key)
-    if x != int(x):
+    """A decimal integer, read exactly rather than through a double."""
+    text = value.strip()
+    if not re.fullmatch(r"-?[0-9]+", text):
         raise ConfigError(f"field {key!r}: expected an integer, got {value!r}")
-    return int(x)
+    try:
+        return int(text)
+    except ValueError as exc:  # beyond Python's digit limit for int()
+        raise ConfigError(f"field {key!r}: {exc}") from exc
 
 
 def _build_flux(entries: dict) -> FluxModel:

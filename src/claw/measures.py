@@ -4,7 +4,10 @@ Two equivalent views are used throughout the package: a right-continuous
 step CDF (a nondecreasing function with limits 0 and 1), and the sorted
 equal-mass particle system obtained by sampling its generalized inverse at
 the midpoint quantile nodes w_i = (i - 1/2)/N.  Conversion between the two
-is exact, including atoms of arbitrary multiplicity.
+is exact, including atoms of arbitrary multiplicity.  Both, and the
+mixtures of two particle systems that the scheme interpolates, also have a
+quantile staircase (``quantile_staircase``), the one format the distance
+layer reads; ``as_step_cdf`` and ``cdf_from_particles`` deduplicate it.
 
 All types are immutable after construction and every operation is a pure
 function, so values can be shared freely across workers.
@@ -29,6 +32,7 @@ __all__ = [
     "mixture_quantile",
     "midpoint_nodes",
     "as_step_cdf",
+    "quantile_staircase",
 ]
 
 
@@ -163,10 +167,7 @@ def generalized_inverse(cdf: StepCdf, w):
 def cdf_from_particles(pq: ParticleQuantiles) -> StepCdf:
     """Step CDF of the particle law: jump of multiplicity/N at each distinct
     position.  Exact inverse of particles_from_cdf on midpoint nodes."""
-    uniq, counts = np.unique(pq.positions, return_counts=True)
-    vals = np.cumsum(counts) / pq.n
-    vals[-1] = 1.0
-    return StepCdf(uniq, vals)
+    return _cdf_of_staircase(*quantile_staircase(pq))
 
 
 def particles_from_cdf(cdf: StepCdf, n: int) -> ParticleQuantiles:
@@ -211,21 +212,56 @@ def tail_moment(pq: ParticleQuantiles, p: float, r: float) -> float:
     return float(np.sum(np.where(absx >= r, absx**p, 0.0)) / pq.n)
 
 
+def quantile_staircase(obj):
+    """Level/position arrays of the quantile function of ``obj``.
+
+    Returns (levels, positions): levels nondecreasing and ending at 1,
+    positions nondecreasing, and Q(w) = positions[j] for the first j with
+    levels[j] > w, the inf convention.  A StepCdf gives its values and
+    breakpoints, a particle system one level per particle, and a mixture the
+    staircase of ``_mixture_staircase``.
+    """
+    if isinstance(obj, StepCdf):
+        return obj.values, obj.breakpoints
+    if isinstance(obj, ParticleQuantiles):
+        return np.arange(1, obj.n + 1) / obj.n, obj.positions
+    if isinstance(obj, MixtureState):
+        return _mixture_staircase(obj.low, obj.high, obj.s)
+    raise TypeError(f"cannot view {type(obj).__name__} as a quantile staircase")
+
+
+def _mixture_staircase(low: ParticleQuantiles, high: ParticleQuantiles, s: float):
+    """Quantile staircase of the mixture (1 - s) F_low + s F_high of two
+    equal-size particle systems, from one merge of their sorted positions.
+
+    One stable argsort of [low, high] merges the two sorted runs; after the
+    k-th merged position, c_lo low and c_hi high particles lie at or left of
+    it, so the level there is (1 - s) c_lo/n + s c_hi/n.  Rounding is
+    monotone in each count, so the levels are nondecreasing; at the last of
+    each run of tied positions they are the mixture CDF there.
+    """
+    n = low.n
+    merged = np.concatenate([low.positions, high.positions])
+    order = np.argsort(merged, kind="stable")
+    c_hi = np.cumsum(order >= n)
+    c_lo = np.arange(1, 2 * n + 1) - c_hi
+    levels = (1.0 - s) * (c_lo / n) + s * (c_hi / n)
+    levels[-1] = 1.0
+    return levels, merged[order]
+
+
+def _cdf_of_staircase(levels, positions) -> StepCdf:
+    """The StepCdf of a quantile staircase: each distinct position carries
+    the last level of its run of tied positions."""
+    last = np.append(positions[1:] != positions[:-1], True)
+    return StepCdf(positions[last], levels[last])
+
+
 def as_step_cdf(obj) -> StepCdf:
     """Exact StepCdf view of a particle system or mixture state."""
     if isinstance(obj, StepCdf):
         return obj
-    if isinstance(obj, ParticleQuantiles):
-        return cdf_from_particles(obj)
-    if isinstance(obj, MixtureState):
-        merged = np.unique(np.concatenate([obj.low.positions, obj.high.positions]))
-        vals = (1.0 - obj.s) * _particle_cdf_eval(obj.low, merged) + obj.s * _particle_cdf_eval(
-            obj.high, merged
-        )
-        vals = np.maximum.accumulate(vals)
-        vals[-1] = 1.0
-        return StepCdf(merged, vals)
-    raise TypeError(f"cannot view {type(obj).__name__} as a StepCdf")
+    return _cdf_of_staircase(*quantile_staircase(obj))
 
 
 def mixture_quantile(ms: MixtureState, w):

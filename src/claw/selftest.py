@@ -12,6 +12,7 @@ import numpy as np
 from .config import build_initial
 from .fluxes import make_builtin
 from .measures import (
+    MixtureState,
     ParticleQuantiles,
     cdf_from_particles,
     eval_cdf,
@@ -54,11 +55,14 @@ def _check_quantile_monotone():
 
 
 def _check_w1_identity():
+    # on particle laws, and on mixtures like the states wp_trajectory measures
     for seed in range(10):
-        f = cdf_from_particles(_random_pq(2 * seed))
-        g = cdf_from_particles(_random_pq(2 * seed + 1))
-        if abs(wp_cdf(f, g, 1.0) - w1_via_cdf(f, g)) > 1e-10:
-            return f"W1 identity broke for seed {seed}"
+        a, b, c, d = (_random_pq(4 * seed + i) for i in range(4))
+        pairs = [(cdf_from_particles(a), cdf_from_particles(b))]
+        pairs += [(MixtureState(a, c, s), MixtureState(b, d, s)) for s in (0.0, 0.3)]
+        for f, g in pairs:
+            if abs(wp_cdf(f, g, 1.0) - w1_via_cdf(f, g)) > 1e-10:
+                return f"W1 identity broke for seed {seed}"
     return None
 
 

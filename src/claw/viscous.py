@@ -127,11 +127,10 @@ def smoothed_cdf_eval(sc: SmoothedCdf, x):
 
 def smoothed_quantile(sc: SmoothedCdf, w: float, tol: float = DEFAULT_TOL) -> float:
     """The unique x with F(x) = w, within tol/2, by the exact solver from a
-    bracket widened until it holds the level."""
+    bracket widened until it holds the level.  A tol below twice the float
+    spacing at the bracket's ends is rejected."""
     if not (0.0 < w < 1.0):
         raise ValueError(f"quantile level must lie in (0, 1), got {w}")
-    if not (tol > 0.0):
-        raise ValueError(f"tolerance must be positive, got {tol}")
     c = sc.centers.positions
     sigma = sc.sigma
     z = abs(float(ndtri(w)))
@@ -150,9 +149,22 @@ def smoothed_quantile(sc: SmoothedCdf, w: float, tol: float = DEFAULT_TOL) -> fl
             "failed to bracket the smoothed quantile after "
             f"{MAX_BRACKET_WIDENINGS} widenings; check inputs for NaN"
         )
+    _check_tol(tol, max(abs(lo), abs(hi)))
     # the center of the same rank lies inside every bracket tried above
     start = c[min(int(w * c.size), c.size - 1)]
     return float(_solve_nodes(c, sigma, *map(np.atleast_1d, (w, start, lo, hi)), tol)[0])
+
+
+def _check_tol(tol: float, reach: float) -> None:
+    """Reject a tol that cannot be certified at |x| <= reach.  Below two
+    float spacings there the probes x -+ tol/2 round onto x or its
+    neighbours, and the solver runs to its pass cap uncertified."""
+    least = float(2.0 * np.spacing(reach))
+    if not (tol >= least):
+        raise ValueError(
+            f"tolerance must be at least {least!r}, twice the float spacing at "
+            f"|x| = {reach:g}, got {tol!r}"
+        )
 
 
 def _solve_nodes(centers, sigma, targets, x, lo, hi, tol) -> np.ndarray:
@@ -312,7 +324,9 @@ def heat_resample(
     pq: ParticleQuantiles, sigma: float, tol: float = DEFAULT_TOL
 ) -> ParticleQuantiles:
     """Quantiles of the Gaussian-smoothed particle CDF at the midpoint nodes,
-    each within ``tol`` of the exact one.
+    each within ``tol`` of the exact one.  A tol below twice the float
+    spacing at the largest |x| a bracket can reach, max|x_j| + 10 sigma, is
+    rejected.
 
     Clusters of at least 48 particles whose table fits are inverted through
     the certified CDF table, all other nodes by the certified exact solver
@@ -320,11 +334,10 @@ def heat_resample(
     """
     if not (sigma > 0.0):
         raise ValueError(f"sigma must be positive, got {sigma}")
-    if not (tol > 0.0):
-        raise ValueError(f"tolerance must be positive, got {tol}")
     centers = pq.positions
     if not np.all(np.isfinite(centers)):
         raise ValueError("positions must be finite")
+    _check_tol(tol, max(abs(centers[0]), abs(centers[-1])) + 10.0 * sigma)
     pos = _resample_clusters(centers, sigma, midpoint_nodes(pq.n), tol)
     return ParticleQuantiles(np.sort(pos, kind="stable"))
 
@@ -334,14 +347,13 @@ def viscous_step(
     flux: FluxModel,
     h: float,
     nu: float,
-    tol: float = DEFAULT_TOL,
 ) -> ParticleQuantiles:
     """Transport-collapse step followed by heat smoothing of variance 2*nu*h."""
     if not (h > 0.0):
         raise ValueError(f"step size must be positive, got {h}")
     if not (nu > 0.0):
         raise ValueError(f"viscosity must be positive, got {nu}")
-    return heat_resample(th_step(pq, flux, h), math.sqrt(2.0 * nu * h), tol)
+    return heat_resample(th_step(pq, flux, h), math.sqrt(2.0 * nu * h))
 
 
 def viscous_trajectory(
@@ -350,7 +362,6 @@ def viscous_trajectory(
     h: float,
     nu: float,
     times,
-    tol: float = DEFAULT_TOL,
 ) -> list[SchemeState]:
     """Viscous scheme states at an ascending list of times."""
     if not (nu > 0.0):
@@ -360,7 +371,7 @@ def viscous_trajectory(
 
     def step_fn(pos):
         moved = _step_positions(pos, speeds)
-        return heat_resample(ParticleQuantiles(moved), sigma, tol).positions
+        return heat_resample(ParticleQuantiles(moved), sigma).positions
 
     return sh_trajectory(pq0, flux, h, times, step_fn=step_fn)
 
@@ -371,7 +382,6 @@ def evolve_viscous(
     h: float,
     nu: float,
     t: float,
-    tol: float = DEFAULT_TOL,
 ) -> SchemeState:
     """Viscous scheme state at a single time t >= 0."""
-    return viscous_trajectory(pq0, flux, h, nu, [t], tol=tol)[0]
+    return viscous_trajectory(pq0, flux, h, nu, [t])[0]

@@ -63,6 +63,13 @@ def test_config_error_exits_one(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_overflowing_particle_count_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("kind = contraction_sweep\nn_particles = 1e400\n")
+    assert main(["run", str(bad)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_missing_file_exits_one(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 1
     assert "cannot read" in capsys.readouterr().err

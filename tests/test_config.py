@@ -214,3 +214,32 @@ def test_random_seed_spellings_in_use_are_unchanged():
         for text in (f"random({seed})", f"random( {seed} )", f"random(00{seed})"):
             got = build_initial({"preset": text}, 64).positions
             assert np.array_equal(got.view(np.uint64), expected)
+
+
+def test_integer_keys_are_read_exactly():
+    # 2^53 + 1 has no double; the seed must not round to 2^53
+    assert parse_config("seed = 9007199254740993\n" + MINIMAL).seed == 9007199254740993
+    assert parse_config("n_particles = 96\nn_times = 5\n" + MINIMAL).n_particles == 96
+
+
+@pytest.mark.parametrize(
+    "line", ["n_particles = 1e400", "n_times = 1e400", "n_particles = 1e3", "n_particles = 1024.0"]
+)
+def test_integer_keys_reject_float_spellings(line):
+    key = line.split(" =")[0]
+    with pytest.raises(ConfigError, match=f"'{key}': expected an integer"):
+        parse_config(line + "\n" + MINIMAL)
+
+
+def test_negative_integers_reach_the_range_checks():
+    with pytest.raises(ConfigError, match="at least 1"):
+        parse_config("n_particles = -3\n" + MINIMAL)
+
+
+@pytest.mark.parametrize(
+    "line", ["t_final = inf", "h = nan", "nu = nan", "p_list = 1 inf", "r_tail = -inf"]
+)
+def test_non_finite_numbers_rejected(line):
+    key = line.split(" =")[0]
+    with pytest.raises(ConfigError, match=f"'{key}': expected finite numbers"):
+        parse_config(line + "\n" + MINIMAL)

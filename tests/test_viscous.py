@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,9 +27,17 @@ def dirac(n, x=0.0):
     return ParticleQuantiles(np.full(n, x))
 
 
+def least_tol(pq, sigma):
+    """The smallest tol heat_resample accepts: twice the float spacing at
+    the farthest point a bracket can reach."""
+    return 2.0 * np.spacing(max(abs(pq.positions[0]), abs(pq.positions[-1])) + 10.0 * sigma)
+
+
 def exact_nodes(pq, sigma, nodes=None, tol=1e-13):
     """Reference quantiles at midpoint nodes: the exact solver at a tight
-    tolerance, bracketed by the same-rank centers."""
+    tolerance, no tighter than heat_resample accepts, bracketed by the
+    same-rank centers."""
+    tol = max(tol, least_tol(pq, sigma))
     nodes = np.arange(pq.n) if nodes is None else nodes
     near = pq.positions[nodes]
     half = viscous_mod._WINDOW_SD * sigma + tol
@@ -290,6 +300,39 @@ def test_solver_answers_are_certified(problem):
     ulps = 8 * np.finfo(float).eps
     assert np.all(full_sum_cdf(centers, sigma, x - 0.5 * tol) <= w + ulps)
     assert np.all(w - ulps <= full_sum_cdf(centers, sigma, x + 0.5 * tol))
+
+
+def named_least_tol(call):
+    """The smallest tol named by the rejection of tol = 1e-13."""
+    with pytest.raises(ValueError, match="at least") as info:
+        call(1e-13)
+    return float(re.search(r"at least (\S+),", str(info.value)).group(1))
+
+
+def test_tol_below_the_float_spacing_is_rejected(random_pq):
+    # at |x| ~ 1000 doubles are 1.1e-13 apart, so tol = 1e-13 cannot be
+    # certified; at the smallest tol the errors name, the brute-force
+    # certificate holds; the 64 particles make one tabled cluster, whose
+    # nodes all fall back to the exact solver at this tol
+    pq = ParticleQuantiles(random_pq(17, n=64).positions + 1000.0)
+    centers, sigma = pq.positions, 0.05
+    ulps = 8 * np.finfo(float).eps
+    tol = named_least_tol(lambda t: heat_resample(pq, sigma, tol=t))
+    assert tol == least_tol(pq, sigma)
+    with pytest.raises(ValueError, match="at least"):
+        heat_resample(pq, sigma, tol=np.nextafter(tol, 0.0))
+    x = heat_resample(pq, sigma, tol=tol).positions
+    w = midpoint_nodes(pq.n)
+    assert np.all(full_sum_cdf(centers, sigma, x - tol) <= w + ulps)
+    assert np.all(w - ulps <= full_sum_cdf(centers, sigma, x + tol))
+    sc = SmoothedCdf(pq, sigma)
+    for level in (0.01, 0.3, 0.5, 0.97):
+        tol = named_least_tol(lambda t: smoothed_quantile(sc, level, tol=t))
+        with pytest.raises(ValueError, match="at least"):
+            smoothed_quantile(sc, level, tol=np.nextafter(tol, 0.0))
+        x = np.array([smoothed_quantile(sc, level, tol=tol)])
+        assert full_sum_cdf(centers, sigma, x - 0.5 * tol)[0] <= level + ulps
+        assert level - ulps <= full_sum_cdf(centers, sigma, x + 0.5 * tol)[0]
 
 
 @pytest.mark.parametrize("scale", [0.3, 3.0])

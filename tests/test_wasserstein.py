@@ -10,6 +10,7 @@ from claw.measures import (
     MixtureState,
     ParticleQuantiles,
     StepCdf,
+    as_step_cdf,
     cdf_from_particles,
     midpoint_nodes,
 )
@@ -179,15 +180,97 @@ class TestWeakConvergenceGap:
             weak_convergence_gap([], ParticleQuantiles([0.0]), 1.0, 1.0)
 
 
+# The routes below are the union1d/midpoint merge and the np.unique CDF
+# constructions that the single staircase merge replaced; they stay here as
+# independent references for it.
+
+
+def union_merge_wp(stair_a, stair_b, orders):
+    """W_p on the union of the two level sets, each piece's quantiles looked
+    up at its midpoint."""
+    lev_a, pos_a = stair_a
+    lev_b, pos_b = stair_b
+    edges = np.concatenate([[0.0], np.union1d(lev_a, lev_b)])
+    widths = np.diff(edges)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    qa = pos_a[np.minimum(np.searchsorted(lev_a, mids, side="right"), lev_a.size - 1)]
+    qb = pos_b[np.minimum(np.searchsorted(lev_b, mids, side="right"), lev_b.size - 1)]
+    gaps = np.abs(qa - qb)
+    return [float(np.sum(gaps**p * widths) ** (1.0 / p)) for p in orders]
+
+
+def unique_particle_cdf(pq):
+    """(values, breakpoints) of a particle law from np.unique counts."""
+    uniq, counts = np.unique(pq.positions, return_counts=True)
+    vals = np.cumsum(counts) / pq.n
+    vals[-1] = 1.0
+    return vals, uniq
+
+
+def unique_mixture_cdf(ms):
+    """(values, breakpoints) of a mixture: the mixture CDF evaluated at the
+    distinct positions of both components."""
+    merged = np.unique(np.concatenate([ms.low.positions, ms.high.positions]))
+    f_low = np.searchsorted(ms.low.positions, merged, side="right") / ms.low.n
+    f_high = np.searchsorted(ms.high.positions, merged, side="right") / ms.high.n
+    vals = np.maximum.accumulate((1.0 - ms.s) * f_low + ms.s * f_high)
+    vals[-1] = 1.0
+    return vals, merged
+
+
 @st.composite
-def initial_data(draw):
+def initial_data(draw, n=None):
     """Random-preset data, or atom-heavy data on a few dyadic sites."""
-    n = draw(st.integers(min_value=1, max_value=64))
+    if n is None:
+        n = draw(st.integers(min_value=1, max_value=64))
     if draw(st.booleans()):
         return build_initial({"preset": f"random({draw(st.integers(0, 10**6))})"}, n)
     sites = draw(st.lists(st.integers(-8, 8), min_size=1, max_size=3))
     picks = draw(st.lists(st.sampled_from(sites), min_size=n, max_size=n))
     return ParticleQuantiles(np.sort(np.asarray(picks, dtype=float) / 4.0))
+
+
+@st.composite
+def mixtures(draw):
+    """Equal-size mixtures; atom-heavy components on dyadic sites tie
+    positions within and across the two components."""
+    n = draw(st.integers(min_value=1, max_value=64))
+    s = draw(st.sampled_from([0.0, 0.3]) | st.floats(0.0, 1.0, exclude_max=True))
+    return MixtureState(draw(initial_data(n)), draw(initial_data(n)), s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixtures())
+def test_step_cdfs_match_unique_constructions(ms):
+    for got, (values, breakpoints) in [
+        (as_step_cdf(ms), unique_mixture_cdf(ms)),
+        (cdf_from_particles(ms.low), unique_particle_cdf(ms.low)),
+    ]:
+        assert np.array_equal(got.values, values)
+        assert np.array_equal(got.breakpoints, breakpoints)
+
+
+@st.composite
+def flat_step_cdfs(draw):
+    """StepCdfs whose values start at 0 and repeat, from a level set that
+    two draws share."""
+    k = draw(st.integers(min_value=1, max_value=12))
+    steps = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    inner = max(k - 2, 0)
+    levels = draw(
+        st.lists(st.sampled_from([0.0, 0.25, 1.0 / 3.0, 0.5]), min_size=inner, max_size=inner)
+    )
+    values = np.concatenate([[0.0], np.sort(levels), [1.0]])[-k:]
+    return StepCdf(np.cumsum(steps) / 4.0 - 3.0, values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(flat_step_cdfs(), flat_step_cdfs())
+def test_staircase_merge_matches_union_merge(f, g):
+    orders = [1.0, 1.5, 2.0, 3.0]
+    got = np.array(wp_from_staircases(quantile_staircase(f), quantile_staircase(g), orders))
+    ref = np.array(union_merge_wp((f.values, f.breakpoints), (g.values, g.breakpoints), orders))
+    assert np.all(np.abs(got - ref) <= 1e-13 * ref)
 
 
 @settings(max_examples=40, deadline=None)
@@ -208,9 +291,7 @@ def test_trajectory_matches_per_state_staircases(a0, b0, flux_name, h, quarters)
     got = wp_trajectory(sa, sb, orders)
     ref = np.array(
         [
-            wp_from_staircases(
-                quantile_staircase(sh_as_cdf(x)), quantile_staircase(sh_as_cdf(y)), orders
-            )
+            union_merge_wp(unique_mixture_cdf(sh_as_cdf(x)), unique_mixture_cdf(sh_as_cdf(y)), orders)
             for x, y in zip(sa, sb)
         ]
     )
