@@ -15,6 +15,16 @@ rule over the given snapshots.  This is a necessary-condition screen
 (a clearly positive residual certifies inadmissibility), not a proof of
 admissibility; its noise floor shrinks with the particle count and the
 snapshot spacing of the supplied states.
+
+The space integrals are computed in one pass over the x-bumps, for every
+level at once.  Each snapshot's levels are nondecreasing in x, so for a
+level k the signs of L - k split a snapshot's pieces at the count of levels
+below k: pieces left of the split enter every integral with sign -1, the
+rest with +1 (a piece with L = k contributes 0 on either side).  A prefix
+sum over the pieces of one x-bump therefore gives the integrals for all
+levels, and the bump's arrays are dropped before the next bump is built.
+Working memory is a few (snapshots x pieces) arrays, whatever the number
+of bumps or levels.
 """
 
 from __future__ import annotations
@@ -33,7 +43,10 @@ __all__ = ["BumpFamily", "entropy_residuals", "entropy_residual"]
 class BumpFamily:
     """Tensor-product test functions psi((t-tc)/rt) psi((x-xc)/rx) with
     psi(s) = (1 - s^2)^3, centers on uniform grids.  Time centers are kept
-    low enough that no bump needs data beyond the last snapshot."""
+    low enough that no bump needs data beyond the last snapshot.
+
+    Radii are fractions of the padded x-range (at most 1/2, so every bump
+    fits inside it) and of the time span (at most 1)."""
 
     n_centers_t: int = 6
     n_centers_x: int = 12
@@ -41,13 +54,28 @@ class BumpFamily:
     radii_x: tuple = (0.4, 0.2)
     pad_x: float = 0.5
 
+    def __post_init__(self):
+        for name in ("n_centers_t", "n_centers_x"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"BumpFamily.{name} must be a positive int, got {value!r}")
+        for name, top in (("radii_t", 1.0), ("radii_x", 0.5)):
+            radii = np.asarray(getattr(self, name), dtype=float)
+            if radii.ndim != 1 or radii.size == 0 or not np.all((radii > 0.0) & (radii <= top)):
+                raise ValueError(
+                    f"BumpFamily.{name} must be a non-empty sequence of values in (0, {top:g}],"
+                    f" got {getattr(self, name)!r}"
+                )
+        if not (np.isfinite(self.pad_x) and self.pad_x >= 0.0):
+            raise ValueError(f"BumpFamily.pad_x must be finite and >= 0, got {self.pad_x!r}")
+
 
 _ANTI_EDGE = 1.0 - 1.0 + 0.6 - 1.0 / 7.0  # antiderivative of the bump at s=1
 
 
 def _bump(s):
     q = np.maximum(1.0 - s * s, 0.0)
-    return q**3
+    return q * q * q
 
 
 def _bump_deriv(s):
@@ -58,7 +86,18 @@ def _bump_deriv(s):
 def _bump_antideriv(s):
     """Integral of (1-s^2)^3 from -1 to s, flat outside the support."""
     s = np.clip(s, -1.0, 1.0)
-    return (s - s**3 + 0.6 * s**5 - s**7 / 7.0) + _ANTI_EDGE
+    s2 = s * s
+    return s * (1.0 + s2 * (-1.0 + s2 * (0.6 - s2 / 7.0))) + _ANTI_EDGE
+
+
+def _checked_levels(ks) -> np.ndarray:
+    ks = np.asarray(ks, dtype=float)
+    if ks.ndim != 1:
+        raise ValueError(f"entropy levels must form a 1-d sequence, got shape {ks.shape}")
+    outside = ~((ks >= 0.0) & (ks <= 1.0))  # nan included
+    if np.any(outside):
+        raise ValueError(f"entropy level must lie in [0, 1], got {ks[outside][0]}")
+    return ks
 
 
 def _padded_staircases(states):
@@ -80,14 +119,39 @@ def _padded_staircases(states):
     return edges, levels
 
 
+def _prefix_table(at_edges, right_end):
+    """(T, pieces + 1) table of a prefix sum over each snapshot's pieces: 0
+    before the first piece, ``at_edges`` at the edges between pieces and
+    ``right_end`` after the last piece."""
+    n_t = at_edges.shape[0]
+    return np.concatenate(
+        [np.zeros((n_t, 1)), at_edges, np.full((n_t, 1), right_end)], axis=1
+    )
+
+
+def _split_sums(prefix, values, flat_split, shifts):
+    """For every level k and snapshot t, the sum over pieces p of
+    sign(L_tp - k) * w_tp * (values_tp - shifts_k), where w = diff(prefix)
+    are the piece weights and flat_split[k, t] indexes the split of row t
+    in the raveled prefix table."""
+    weighted = np.zeros_like(prefix)
+    np.cumsum(np.diff(prefix, axis=1) * values, axis=1, out=weighted[:, 1:])
+    below = prefix.ravel()[flat_split]
+    below_weighted = weighted.ravel()[flat_split]
+    return (weighted[:, -1] - 2.0 * below_weighted) - shifts[:, None] * (
+        prefix[:, -1] - 2.0 * below
+    )
+
+
 def entropy_residuals(states, flux: FluxModel, ks, grid: BumpFamily | None = None) -> np.ndarray:
     """Largest bump residual of the trajectory for each entropy level in ks.
 
     ``states`` is a list of (t, state) pairs at uniformly spaced times; the
-    states are anything with a StepCdf view.  The geometry of the bumps is
-    shared by all levels.  Output at or below the quadrature noise floor is
-    consistent with admissibility.
+    states are anything with a StepCdf view.  ``ks`` is a 1-d sequence of
+    levels in [0, 1].  All levels share one pass over the bumps.  Output at
+    or below the quadrature noise floor is consistent with admissibility.
     """
+    ks = _checked_levels(ks)
     if grid is None:
         grid = BumpFamily()
     if len(states) < 3:
@@ -101,51 +165,46 @@ def entropy_residuals(states, flux: FluxModel, ks, grid: BumpFamily | None = Non
     x_max = edges.max() + grid.pad_x
     t0, t1 = times[0], times[-1]
 
+    # rows of levels are nondecreasing, so the pieces with L < k are a prefix
+    # of each row; flat_split[k, t] is its length, offset into row t of a
+    # raveled (T, pieces + 1) prefix table
+    n_pieces = levels.shape[1]
+    split = np.stack([np.searchsorted(row, ks, side="left") for row in levels], axis=1)
+    flat_split = split + (n_pieces + 1) * np.arange(times.size)
+    f_levels = flux.value(levels)
+    f_ks = flux.value(ks)
+
+    # space integrals per (level, x-bump, snapshot): E against the bump and
+    # F against its x-derivative, exact on the piecewise-constant states
+    x_bumps = []
+    for rx_frac in grid.radii_x:
+        rx = rx_frac * (x_max - x_min)
+        x_bumps += [(rx, xc) for xc in np.linspace(x_min + rx, x_max - rx, grid.n_centers_x)]
+    e_int = np.empty((ks.size, len(x_bumps), times.size))
+    f_int = np.empty_like(e_int)
+    for b, (rx, xc) in enumerate(x_bumps):
+        s = (edges - xc) / rx
+        mass = _prefix_table(_bump_antideriv(s) * rx, 2.0 * _ANTI_EDGE * rx)
+        e_int[:, b] = _split_sums(mass, levels, flat_split, ks)
+        f_int[:, b] = _split_sums(_prefix_table(_bump(s), 0.0), f_levels, flat_split, f_ks)
+
+    # time bump samples, trapezoid weights folded in
     wt = np.full(times.size, dts[0])
     wt[0] *= 0.5
     wt[-1] *= 0.5
-
-    # geometry factors, independent of the entropy level: for each x-bump,
-    # exact per-piece weights against the bump and against its x-derivative
-    piece_w = []
-    psi_dw = []
-    for rx_frac in grid.radii_x:
-        rx = rx_frac * (x_max - x_min)
-        for xc in np.linspace(x_min + rx, x_max - rx, grid.n_centers_x):
-            s = (edges - xc) / rx
-            anti = _bump_antideriv(s) * rx
-            full = np.full((times.size, 1), 2.0 * _ANTI_EDGE * rx)
-            piece_w.append(np.diff(np.concatenate([np.zeros((times.size, 1)), anti, full], axis=1)))
-            psi = _bump(s)
-            zero = np.zeros((times.size, 1))
-            psi_dw.append(np.diff(np.concatenate([zero, psi, zero], axis=1)))
-    piece_w = np.stack(piece_w)  # (n_xbumps, n_times, n_pieces)
-    psi_dw = np.stack(psi_dw)
-
-    # time bump samples
-    t_shapes = []
+    psi_t, dpsi_t = [], []
     for rt_frac in grid.radii_t:
         rt = rt_frac * (t1 - t0)
         for tc in np.linspace(t0, t1 - rt, grid.n_centers_t):
             arg = (times - tc) / rt
-            t_shapes.append((_bump(arg), _bump_deriv(arg) / rt))
+            psi_t.append(_bump(arg))
+            dpsi_t.append(_bump_deriv(arg) / rt)
+    psi_t = np.array(psi_t)  # (n_tbumps, n_times)
+    dpsi_t = np.array(dpsi_t)
 
-    f_levels = flux.value(levels)
-    out = np.empty(len(ks))
-    for ik, k in enumerate(ks):
-        if not (0.0 <= k <= 1.0):
-            raise ValueError(f"entropy level must lie in [0, 1], got {k}")
-        e_vals = np.abs(levels - k)
-        f_vals = np.sign(levels - k) * (f_levels - flux.value(float(k)))
-        e_int = np.einsum("btp,tp->bt", piece_w, e_vals)
-        f_int = np.einsum("btp,tp->bt", psi_dw, f_vals)
-        worst = -np.inf
-        for psi_t, dpsi_t in t_shapes:
-            acc = e_int @ (wt * dpsi_t) + f_int @ (wt * psi_t)
-            acc += e_int[:, 0] * psi_t[0]
-            worst = max(worst, float(-acc.min()))
-        out[ik] = worst
-    return out
+    acc = e_int @ (wt * dpsi_t).T + f_int @ (wt * psi_t).T  # (n_ks, n_xbumps, n_tbumps)
+    acc += e_int[:, :, :1] * psi_t[:, 0]
+    return -acc.min(axis=(1, 2))
 
 
 def entropy_residual(states, flux: FluxModel, k: float, grid: BumpFamily | None = None) -> float:

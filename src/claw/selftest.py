@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import build_initial
+from .entropy import entropy_residuals
 from .fluxes import make_builtin
 from .measures import (
     MixtureState,
@@ -22,7 +23,7 @@ from .measures import (
     particles_from_cdf,
     tail_moment,
 )
-from .scheme import sh_trajectory, th_step
+from .scheme import exact_shock_cdf, sh_trajectory, th_step
 from .viscous import SmoothedCdf, heat_resample, smoothed_quantile
 from .wasserstein import w1_via_cdf, wp_cdf, wp_particles, wp_trajectory
 
@@ -161,6 +162,22 @@ def _check_heat_split():
     return None
 
 
+def _check_entropy_screen():
+    # criterion 11 in small: the admissible shock passes every level, its
+    # time reverse (an entropy-violating expansion shock) does not
+    flux = make_builtin("concave_quadratic")
+    times = np.linspace(0.0, 1.0, 65)
+    shock = [particles_from_cdf(exact_shock_cdf(flux, t), 64) for t in times]
+    ks = np.linspace(0.0, 1.0, 11)
+    forward = np.max(entropy_residuals(list(zip(times, shock)), flux, ks))
+    if forward > 1e-3:
+        return f"admissible shock has residual {forward:.3g}"
+    backward = np.max(entropy_residuals(list(zip(times, shock[::-1])), flux, ks))
+    if backward <= 1e-2:
+        return f"reversed shock passes with residual {backward:.3g}"
+    return None
+
+
 def _check_nodes():
     for n in (1, 2, 7, 100):
         w = midpoint_nodes(n)
@@ -180,6 +197,7 @@ CHECKS = [
     ("heat-kernel Wp contraction", _check_heat_contraction),
     ("heat resample shift equivariance", _check_heat_shift),
     ("heat resample cluster split", _check_heat_split),
+    ("entropy screen", _check_entropy_screen),
     ("midpoint node grid", _check_nodes),
 ]
 

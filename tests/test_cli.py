@@ -90,3 +90,4 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out and "pass" in out
+    assert "pass  entropy screen" in out

@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import claw.entropy
+from claw.config import build_initial
 from claw.entropy import BumpFamily, entropy_residual, entropy_residuals
 from claw.fluxes import make_builtin
-from claw.measures import ParticleQuantiles, midpoint_nodes, particles_from_cdf
-from claw.scheme import classical_characteristics, exact_shock_cdf
+from claw.measures import ParticleQuantiles, as_step_cdf, midpoint_nodes, particles_from_cdf
+from claw.scheme import classical_characteristics, exact_shock_cdf, sh_as_cdf, sh_trajectory
 
 concave = make_builtin("concave_quadratic")
 burgers = make_builtin("burgers")
@@ -13,19 +18,19 @@ N_STATE = 1024
 N_TIMES = 129
 
 
-def shock_states(t_final=1.0):
-    times = np.linspace(0.0, t_final, N_TIMES)
-    return [(t, particles_from_cdf(exact_shock_cdf(concave, t), N_STATE)) for t in times]
+def shock_states(t_final=1.0, n=N_STATE, n_times=N_TIMES):
+    times = np.linspace(0.0, t_final, n_times)
+    return [(t, particles_from_cdf(exact_shock_cdf(concave, t), n)) for t in times]
 
 
-def rarefaction_states(t_final=1.0):
-    times = np.linspace(0.0, t_final, N_TIMES)
-    u0 = ParticleQuantiles(midpoint_nodes(N_STATE))
+def rarefaction_states(t_final=1.0, n=N_STATE, n_times=N_TIMES):
+    times = np.linspace(0.0, t_final, n_times)
+    u0 = ParticleQuantiles(midpoint_nodes(n))
     return [(t, classical_characteristics(u0, burgers, t)) for t in times]
 
 
-def reversed_shock_states(t_final=1.0):
-    fwd = shock_states(t_final)
+def reversed_shock_states(t_final=1.0, n=N_STATE, n_times=N_TIMES):
+    fwd = shock_states(t_final, n, n_times)
     return [(t, state) for (t, _), (_, state) in zip(fwd, reversed(fwd))]
 
 
@@ -77,6 +82,41 @@ def test_level_outside_unit_interval_rejected(controls):
         entropy_residual(shock, concave, 1.5)
 
 
+@pytest.mark.parametrize(
+    "ks", [[0.5, 1.5], [-0.1], [float("nan")], [0.2, float("inf")], [[0.5]], 0.5]
+)
+def test_levels_checked_before_any_geometry(controls, monkeypatch, ks):
+    def fail(states):
+        raise AssertionError("staircases built before the levels were checked")
+
+    monkeypatch.setattr(claw.entropy, "_padded_staircases", fail)
+    shock, _, _ = controls
+    with pytest.raises(ValueError, match="entropy level"):
+        entropy_residuals(shock, concave, ks)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_centers_t", 0),
+        ("n_centers_x", 0),
+        ("n_centers_x", 2.0),
+        ("radii_x", ()),
+        ("radii_x", (-0.4,)),
+        ("radii_x", (0.2, 0.6)),
+        ("radii_x", 0.4),
+        ("radii_t", ()),
+        ("radii_t", (0.0,)),
+        ("radii_t", (float("nan"),)),
+        ("pad_x", float("nan")),
+        ("pad_x", -0.1),
+    ],
+)
+def test_bad_bump_family_rejected(field, value):
+    with pytest.raises(ValueError, match=f"BumpFamily.{field}"):
+        BumpFamily(**{field: value})
+
+
 def test_custom_family_still_detects(controls):
     _, _, reversed_ = controls
     small = BumpFamily(n_centers_t=4, n_centers_x=6, radii_t=(0.5,), radii_x=(0.4,))
@@ -85,3 +125,122 @@ def test_custom_family_still_detects(controls):
         for k in np.linspace(0.0, 1.0, 11)
     )
     assert worst > 0.01
+
+
+def test_screen_memory_does_not_grow_with_bumps():
+    # the benchmark's entropy job: 65 snapshots of an N = 1024 Burgers
+    # trajectory, 11 levels; the stacked per-bump geometry peaked at 78 MB
+    a0 = build_initial({"preset": "random(50000)"}, 1024)
+    times = np.linspace(0.0, 1.0, 65)
+    states = [(t, sh_as_cdf(s)) for t, s in zip(times, sh_trajectory(a0, burgers, 0.01, times))]
+    tracemalloc.start()
+    try:
+        entropy_residuals(states, burgers, np.linspace(0.0, 1.0, 11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6
+
+
+# Reference: the screen evaluated the direct way.  The antiderivative is in
+# power form, every x-bump's piece weights are stacked, and each level is
+# contracted against them in its own pass.
+
+def reference_residuals(states, flux, ks, grid):
+    edge = 1.0 - 1.0 + 0.6 - 1.0 / 7.0
+
+    def bump(s):
+        return np.maximum(1.0 - s * s, 0.0) ** 3
+
+    def bump_deriv(s):
+        return -6.0 * s * np.maximum(1.0 - s * s, 0.0) ** 2
+
+    def antideriv(s):
+        s = np.clip(s, -1.0, 1.0)
+        return (s - s**3 + 0.6 * s**5 - s**7 / 7.0) + edge
+
+    cdfs = [as_step_cdf(state) for _, state in states]
+    width = max(c.breakpoints.size for c in cdfs)
+    edges = np.empty((len(cdfs), width))
+    levels = np.ones((len(cdfs), width + 1))
+    for i, c in enumerate(cdfs):
+        m = c.breakpoints.size
+        edges[i, :m] = c.breakpoints
+        edges[i, m:] = c.breakpoints[-1]
+        levels[i, 0] = 0.0
+        levels[i, 1 : m + 1] = c.values
+    times = np.array([t for t, _ in states])
+    x_min, x_max = edges.min() - grid.pad_x, edges.max() + grid.pad_x
+    wt = np.full(times.size, times[1] - times[0])
+    wt[[0, -1]] *= 0.5
+    zero = np.zeros((times.size, 1))
+    piece_w, psi_dw = [], []
+    for rx_frac in grid.radii_x:
+        rx = rx_frac * (x_max - x_min)
+        for xc in np.linspace(x_min + rx, x_max - rx, grid.n_centers_x):
+            s = (edges - xc) / rx
+            full = np.full((times.size, 1), 2.0 * edge * rx)
+            piece_w.append(np.diff(np.concatenate([zero, antideriv(s) * rx, full], axis=1)))
+            psi_dw.append(np.diff(np.concatenate([zero, bump(s), zero], axis=1)))
+    piece_w, psi_dw = np.stack(piece_w), np.stack(psi_dw)
+    t_shapes = []
+    for rt_frac in grid.radii_t:
+        rt = rt_frac * (times[-1] - times[0])
+        for tc in np.linspace(times[0], times[-1] - rt, grid.n_centers_t):
+            arg = (times - tc) / rt
+            t_shapes.append((bump(arg), bump_deriv(arg) / rt))
+    out = []
+    for k in ks:
+        e_int = np.einsum("btp,tp->bt", piece_w, np.abs(levels - k))
+        f_vals = np.sign(levels - k) * (flux.value(levels) - flux.value(float(k)))
+        f_int = np.einsum("btp,tp->bt", psi_dw, f_vals)
+        acc = [
+            e_int @ (wt * dpsi) + f_int @ (wt * psi) + e_int[:, 0] * psi[0]
+            for psi, dpsi in t_shapes
+        ]
+        out.append(-np.min(acc))
+    return np.array(out)
+
+
+@st.composite
+def screened_trajectories(draw):
+    """(states, flux) from the three controls or a scheme trajectory of
+    random data, small enough for the stacked reference."""
+    n = draw(st.integers(min_value=4, max_value=128))
+    n_times = draw(st.integers(min_value=3, max_value=33))
+    kind = draw(st.sampled_from(["scheme", "shock", "rarefaction", "reversed"]))
+    if kind == "shock":
+        return shock_states(1.0, n, n_times), concave
+    if kind == "rarefaction":
+        return rarefaction_states(1.0, n, n_times), burgers
+    if kind == "reversed":
+        return reversed_shock_states(1.0, n, n_times), concave
+    flux = make_builtin(draw(st.sampled_from(["burgers", "concave_quadratic", "cubic", "linear"])))
+    a0 = build_initial({"preset": f"random({draw(st.integers(0, 10**6))})"}, n)
+    h = draw(st.sampled_from([0.05, 0.1, 0.25]))
+    times = np.linspace(0.0, draw(st.sampled_from([0.5, 1.0, 2.0])), n_times)
+    return [(t, sh_as_cdf(s)) for t, s in zip(times, sh_trajectory(a0, flux, h, times))], flux
+
+
+bump_families = st.just(BumpFamily()) | st.builds(
+    BumpFamily,
+    n_centers_t=st.integers(1, 6),
+    n_centers_x=st.integers(1, 12),
+    radii_t=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3).map(tuple),
+    radii_x=st.lists(st.floats(0.05, 0.5), min_size=1, max_size=3).map(tuple),
+    pad_x=st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(screened_trajectories(), bump_families, st.data())
+def test_residuals_match_direct_evaluation(trajectory, grid, data):
+    states, flux = trajectory
+    # levels 0 and 1, free levels, and levels tied with some state's CDF
+    own = as_step_cdf(states[data.draw(st.integers(0, len(states) - 1))][1]).values
+    ties = data.draw(st.lists(st.sampled_from(list(own)), max_size=4))
+    free = data.draw(st.lists(st.floats(0.0, 1.0), max_size=4))
+    ks = [0.0, 1.0] + ties + free
+    got = entropy_residuals(states, flux, ks, grid)
+    assert got.shape == (len(ks),)
+    assert np.all(np.abs(got - reference_residuals(states, flux, ks, grid)) <= 1e-13)
