@@ -24,7 +24,13 @@ from .measures import (
     tail_moment,
 )
 from .scheme import exact_shock_cdf, sh_trajectory, th_step
-from .viscous import SmoothedCdf, heat_resample, smoothed_quantile
+from .viscous import (
+    SmoothedCdf,
+    _grid_cdf_table,
+    _ragged_window_eval,
+    heat_resample,
+    smoothed_quantile,
+)
 from .wasserstein import w1_via_cdf, wp_cdf, wp_particles, wp_trajectory
 
 __all__ = ["run_selftest"]
@@ -162,6 +168,20 @@ def _check_heat_split():
     return None
 
 
+def _check_heat_table():
+    # the CDF table the heat step inverts, against exact window sums at 64
+    # of its grid points, on data shaped like criterion 9's
+    pq = th_step(_random_pq(420, n=1024), make_builtin("burgers"), 0.1)
+    sigma = 0.141
+    x0, delta, f, dens, _ = _grid_cdf_table(pq.positions, sigma)
+    k = np.linspace(0, f.size - 1, 64).astype(np.int64)
+    exact, exact_dens = _ragged_window_eval(pq.positions, sigma, x0 + delta * k, density=True)
+    err = max(np.max(np.abs(f[k] - exact)), sigma * np.max(np.abs(dens[k] - exact_dens)))
+    if err > 1e-13:
+        return f"table misses the exact sums by {err:.3g}"
+    return None
+
+
 def _check_entropy_screen():
     # criterion 11 in small: the admissible shock passes every level, its
     # time reverse (an entropy-violating expansion shock) does not
@@ -197,6 +217,7 @@ CHECKS = [
     ("heat-kernel Wp contraction", _check_heat_contraction),
     ("heat resample shift equivariance", _check_heat_shift),
     ("heat resample cluster split", _check_heat_split),
+    ("heat table accuracy", _check_heat_table),
     ("entropy screen", _check_entropy_screen),
     ("midpoint node grid", _check_nodes),
 ]

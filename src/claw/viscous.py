@@ -11,14 +11,29 @@ counting farther-left centers as full mass (truncation error below
 2.3e-19); the same terms give the density F'.  Two certified routes invert
 it.  The exact solver runs a bracketed Newton iteration on F and F' and
 returns x only once F(x - tol/2) <= w <= F(x + tol/2) or its bracket is
-narrower than tol; a node costs a few window sums.  The CDF table splits
-the kernel as phi_sigma = phi_sigma1 * phi_sigma2, with sigma2 tied to the
-grid spacing: the sigma2-mollified atom density is sampled exactly on a
-uniform grid, the sigma1 convolution and the antiderivative are applied
-spectrally, and each monotone cubic Hermite cell is inverted by Newton's
-method from the secant value, safeguarded by a bracket.  Table nodes are
-certified by an interpolation error bound; those in near-flat cells, where
-the bound is too weak, go to the exact solver from the table's value.
+narrower than tol; a node costs a few window sums.
+
+The CDF table holds F, F' and F'' on a uniform grid of 32 cells per sigma.
+Each atom is spread onto its 8 nearest cells with the degree-7 cardinal
+B-spline, whose weights are one matrix product with no exp.  The spectrum
+of the spread is multiplied by exp(-sigma^2 xi^2/2)/sinc^8(xi delta/2),
+which undoes the B-spline and applies the Gaussian, on the band where the
+Gaussian is nonzero in double precision; the B-spline's two nearest
+images alias into that band at most 2 (xi delta/2 pi)^8 times the
+Gaussian, below 6e-17.  Three inverse transforms give F (with the
+spectral antiderivative), F' and F''; the table is within 1e-14
+(``_TABLE_ERR``) of the exact F, sigma F' and sigma^2 F'' (measured: below
+3e-15).  Each quintic Hermite cell through F, F', F'' at its ends is
+inverted by Newton's method from the secant value, safeguarded by a
+bracket.  A node is certified, |x - x*| <= tol/2, when
+min_slope * tol >= 2 (hermite_err + table_err).  The interpolation bound
+is hermite_err = (delta^6/46080) sup|phi^(5)|/sigma^6 = 2.31/(46080 * 32^6)
+= 4.7e-14; table_err = 1.01e-14 is the table's error carried through the
+Hermite basis, no longer negligible beside it.  min_slope, the smaller
+density at the cell's ends less (delta^2/8) sup|F'''| and the table's
+density error, bounds the density in the cell from below.  Nodes in
+near-flat cells, where the certificate fails, go to the exact solver from
+the table's value.
 
 ``heat_resample`` first cuts the sorted centers wherever a gap exceeds
 20 sigma.  Within 10 sigma of a cluster every other center lies more than
@@ -27,11 +42,11 @@ the cluster and F_c the mixture of its own n_c centers.  The quantile at a
 node lies within 9 sigma of the center of the same rank, so the global
 node (L + j + 1/2)/N is exactly the cluster's node (j + 1/2)/n_c and each
 cluster is resampled on its own.  Clusters of at least 48 particles are
-tabled; with its padding a table spans at most 20*n_c sigma, or 3840*n_c
+tabled; with its padding a table spans at most 20*n_c sigma, or 640*n_c
 cells, so its cost depends on n_c and not on the span of the data.  The
-nodes of smaller clusters, and of clusters whose table would exceed
-``_MAX_GRID`` cells (n_c above about 1092), go to the exact solver in one
-call, each started at its same-rank center.
+nodes of smaller clusters, and of clusters whose table would span more
+than ``_MAX_TABLE_SD`` = 21845 sigma (n_c above about 1092), go to the
+exact solver in one call, each started at its same-rank center.
 """
 
 from __future__ import annotations
@@ -40,7 +55,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len, rfft, irfft, rfftfreq
+from scipy.fft import next_fast_len, rfft, irfft
 from scipy.special import ndtr, ndtri
 
 from .fluxes import FluxModel
@@ -64,11 +79,26 @@ MAX_BRACKET_WIDENINGS = 128
 # exact-evaluation window, in standard deviations; truncation error in the
 # CDF is below 2.3e-19 in absolute value
 _WINDOW_SD = 9.0
-# fast-path grid resolution, in cells per sigma; the monotone-cubic
-# inversion error bound is (delta^4/384)*max|F''''| <= 0.5566/(384*cells^4)
-_CELLS_PER_SD = 192
-_MAX_GRID = 1 << 22
-_F4_BOUND = 0.5566  # sup of |phi'''| for the unit Gaussian density
+# CDF table resolution, in cells per sigma
+_CELLS_PER_SD = 32
+# clusters whose table, padding included, would span more than this many
+# sigma go to the exact solver
+_MAX_TABLE_SD = 21845.0
+# sup |phi^(5)| = sup |(z^5 - 10 z^3 + 15 z) phi(z)| = 2.3071 for the unit
+# Gaussian density phi; the quintic Hermite error bound is
+# (delta^6/46080) * sup|F^(6)| <= 2.31/(46080 * cells^6)
+_PHI5_BOUND = 2.31
+# sup |phi''|/8 = 0.04987: the density inside a cell undershoots its
+# endpoint values by at most (delta^2/8) * sup|F'''|
+_SLOPE_SLACK = 0.0499
+# allowance for the table's own rounding error in F, sigma*F' and
+# sigma^2*F''; the Hermite basis carries the errors at a cell's ends into
+# the cell at most 1, 0.198/cells and 0.0173/cells^2 times, which
+# _TABLE_BASIS covers
+_TABLE_ERR = 1e-14
+_TABLE_BASIS = 1.01
+# exp(-(sigma*xi)^2/2) is zero in double precision beyond sigma*xi = 38.59
+_BAND_SD = math.sqrt(-2.0 * math.log(math.ulp(0.0)))
 # gaps wider than this many standard deviations split the centers into
 # clusters that are resampled independently: any point within a table's
 # 10-sigma padding of one cluster is then more than 10 sigma from every
@@ -76,10 +106,30 @@ _F4_BOUND = 0.5566  # sup of |phi'''| for the unit Gaussian density
 _GAP_SD = 20.0
 # clusters with fewer particles go to the exact solver rather than a table
 _MIN_GRID_N = 48
-# safeguarded Newton iteration on the cubic cells: stop once no step moves
-# by more than this fraction of a cell
+# safeguarded Newton iteration on the quintic cells: stop once no step
+# moves by more than this fraction of a cell
 _NEWTON_STEP_TOL = 2.0**-40
 _NEWTON_MAX_ITER = 64
+
+
+def _bspline_matrix() -> np.ndarray:
+    """C such that vander(s, 8, increasing=True) @ C holds the weights of an
+    atom at offset s + 1/2 into its cell on the cells from 3 before to 4
+    after it: the degree-7 cardinal B-spline
+    (1/7!) sum_i (-1)^i C(8, i) (x + 4 - i)_+^7 at x = k - 7/2 - s.  The
+    entries are exact integers over 7! * 2^7, rounded once."""
+    num = [
+        [
+            math.comb(7, p) * (-2) ** p
+            * sum((-1) ** i * math.comb(8, i) * (2 * k + 1 - 2 * i) ** (7 - p) for i in range(k + 1))
+            for k in range(8)
+        ]
+        for p in range(8)
+    ]
+    return np.array(num) / (5040 * 128)
+
+
+_BSPLINE = _bspline_matrix()
 
 
 @dataclass(frozen=True)
@@ -208,70 +258,82 @@ def _solve_nodes(centers, sigma, targets, x, lo, hi, tol) -> np.ndarray:
     return x
 
 
-def _grid_cdf_table(centers, sigma, x0, delta, g0):
-    """Machine-accurate table of the mixture CDF and density on the uniform
-    grid x0 + delta*arange(g0), via the Gaussian semigroup split."""
+def _grid_cdf_table(centers, sigma):
+    """(x0, delta, F, F', F''): the mixture CDF and its derivatives on the
+    grid x0 + delta*k of 32 cells per sigma from 10 sigma left of the first
+    center to 10 sigma right of the last, with F, sigma*F' and sigma^2*F''
+    within _TABLE_ERR."""
     n = centers.size
-    sigma2 = 4.0 * delta
-    sigma1 = math.sqrt(sigma * sigma - sigma2 * sigma2)
-    m = next_fast_len(g0 + 512)
+    delta = sigma / _CELLS_PER_SD
+    x0 = centers[0] - 10.0 * sigma
+    g0 = int(math.ceil((centers[-1] + 10.0 * sigma - x0) / delta)) + 2
+    m = next_fast_len(g0)
 
-    # sigma2-mollified atom density, sampled exactly on short windows; the
-    # offsets are taken from x0, not from the absolute grid points, whose
-    # rounding far from the origin would swamp the short distances
-    halfw = 36  # 9*sigma2 in grid cells
-    rel = centers - x0
-    mj = np.rint(rel / delta).astype(np.int64)
-    offs = np.arange(-halfw, halfw + 1)
-    idx = mj[:, None] + offs[None, :]
-    z = (delta * idx - rel[:, None]) / sigma2
-    weights = np.exp(-0.5 * z * z) / (n * sigma2 * math.sqrt(2.0 * math.pi))
-    rho = np.bincount(idx.ravel(), weights=weights.ravel(), minlength=m)
+    # B-spline weights of each atom on its 8 nearest cells; the offsets are
+    # taken from x0, not from the absolute grid points, whose rounding far
+    # from the origin would swamp the short distances.  The sorted atoms of
+    # one cell are summed pairwise before they are spread: summed in
+    # sequence, the atoms of a collapsed shock would carry a rounding error
+    # that grows with their count into F (1.1e-13 for 8192 atoms)
+    u = (centers - x0) / delta
+    cell = np.floor(u)
+    weights = np.vander(u - cell - 0.5, 8, increasing=True) @ _BSPLINE
+    first = np.flatnonzero(np.diff(cell, prepend=-1.0))
+    weights = np.add.reduceat(weights, first, axis=0)
+    idx = cell[first].astype(np.int64)[:, None] + np.arange(-3, 5)
+    spread = np.bincount(idx.ravel(), weights=weights.ravel(), minlength=m)
 
-    # remaining sigma1 smoothing and the antiderivative, spectrally
-    xi = 2.0 * math.pi * rfftfreq(m, d=delta)
-    full_hat = rfft(rho) * np.exp(-0.5 * (sigma1 * xi) ** 2)
-    dens = irfft(full_hat, m)[:g0]
-    anti_hat = np.zeros_like(full_hat)
-    anti_hat[1:] = full_hat[1:] / (1j * xi[1:])
-    ramp = (full_hat[0].real / m) * delta * np.arange(g0)
+    # the Gaussian over the B-spline's transform sinc^8(xi*delta/2), on the
+    # band where the Gaussian is nonzero; the spectrum is zero beyond it
+    k = np.arange(int(_BAND_SD * m * delta / (2.0 * math.pi * sigma)) + 1)
+    xi = (2.0 * math.pi / (m * delta)) * k
+    gain = np.exp(-0.5 * (sigma * xi) ** 2) / (n * delta * np.sinc(k / m) ** 8)
+    dens_hat = rfft(spread)[: k.size] * gain
+    dens = irfft(dens_hat, m)[:g0]
+    curv = irfft(1j * xi * dens_hat, m)[:g0]
+    anti_hat = np.zeros_like(dens_hat)
+    anti_hat[1:] = dens_hat[1:] / (1j * xi[1:])
+    ramp = (dens_hat[0].real / m) * delta * np.arange(g0)
     f_part = irfft(anti_hat, m)[:g0]
     f_grid = f_part + ramp - f_part[0]
 
     f_grid = np.minimum(np.maximum.accumulate(np.maximum(f_grid, 0.0)), 1.0)
-    return f_grid, np.maximum(dens, 0.0)
+    return x0, delta, f_grid, dens, curv
 
 
-def _resample_grid(centers, sigma, targets, tol, cells_per_sd) -> np.ndarray:
-    delta = sigma / cells_per_sd
-    x0 = centers[0] - 10.0 * sigma
-    g0 = int(math.ceil((centers[-1] + 10.0 * sigma - x0) / delta)) + 2
-    f_grid, dens = _grid_cdf_table(centers, sigma, x0, delta, g0)
-    hermite_err = _F4_BOUND / 384.0 / float(cells_per_sd) ** 4
+def _resample_grid(centers, sigma, targets, tol) -> np.ndarray:
+    x0, delta, f_grid, dens, curv = _grid_cdf_table(centers, sigma)
+    g0 = f_grid.size
 
     i1 = np.clip(np.searchsorted(f_grid, targets, side="left"), 1, g0 - 1)
     i0 = i1 - 1
-    f0, f1 = f_grid[i0], f_grid[i1]
-    sec = f1 - f0
-    d0 = np.clip(dens[i0] * delta, 0.0, 3.0 * sec)
-    d1 = np.clip(dens[i1] * delta, 0.0, 3.0 * sec)
+    f0 = f_grid[i0]
+    sec = f_grid[i1] - f0
+    d0, d1 = delta * dens[i0], delta * dens[i1]
+    e0, e1 = delta * delta * curv[i0], delta * delta * curv[i1]
 
-    # monotone cubic Hermite inversion within each cell: Newton's method
-    # from the secant value, kept inside the bracket [t_lo, t_hi]; a step
-    # that leaves the bracket is replaced by the bracket's midpoint
-    c2 = 3.0 * sec - 2.0 * d0 - d1
-    c3 = d0 + d1 - 2.0 * sec
+    # the quintic Hermite cell p(t) = f0 + d0 t + (e0/2) t^2 + c3 t^3 +
+    # c4 t^4 + c5 t^5 matching F, F' and F'' at both ends, inverted by
+    # Newton's method from the secant value, kept inside the bracket
+    # [t_lo, t_hi]; a step that leaves the bracket is replaced by the
+    # bracket's midpoint
+    ra, rb, rc = sec - d0 - 0.5 * e0, d1 - d0 - e0, e1 - e0
+    c2 = 0.5 * e0
+    c3 = 10.0 * ra - 4.0 * rb + 0.5 * rc
+    c4 = -15.0 * ra + 7.0 * rb - rc
+    c5 = 6.0 * ra - 3.0 * rb + 0.5 * rc
     rhs = targets - f0
     t_lo = np.zeros_like(targets)
     t_hi = np.ones_like(targets)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(sec > 0.0, np.clip(rhs / sec, 0.0, 1.0), 0.5)
         for _ in range(_NEWTON_MAX_ITER):
-            resid = ((c3 * t + c2) * t + d0) * t - rhs
+            resid = ((((c5 * t + c4) * t + c3) * t + c2) * t + d0) * t - rhs
             below = resid <= 0.0
             t_lo = np.where(below, t, t_lo)
             t_hi = np.where(below, t_hi, t)
-            step = t - resid / ((3.0 * c3 * t + 2.0 * c2) * t + d0)
+            slope = (((5.0 * c5 * t + 4.0 * c4) * t + 3.0 * c3) * t + e0) * t + d0
+            step = t - resid / slope
             # a step onto a bracket end is kept: at convergence the iterate
             # is the end just moved, and a strict test would bisect forever
             t_next = np.where((step >= t_lo) & (step <= t_hi), step, 0.5 * (t_lo + t_hi))
@@ -281,12 +343,14 @@ def _resample_grid(centers, sigma, targets, tol, cells_per_sd) -> np.ndarray:
                 break
     out = x0 + delta * (i0 + t)
 
-    # certify |x - x*| <= tol from the interpolation error bound; the density
-    # inside a cell can undershoot its endpoint values by at most
-    # (delta^2/8)*max|F'''|
-    slope_slack = 0.0499 * delta * delta / sigma**3
-    min_slope = np.minimum(dens[i0], dens[i1]) - slope_slack
-    bad = np.nonzero(min_slope * tol < 2.0 * hermite_err)[0]
+    # certify |x - x*| <= tol/2: p misses F by at most the interpolation
+    # bound plus the table error it carries, and the density stays above
+    # min_slope in the cell
+    hermite_err = _PHI5_BOUND / 46080.0 / float(_CELLS_PER_SD) ** 6
+    table_err = _TABLE_BASIS * _TABLE_ERR
+    slack = (_SLOPE_SLACK / float(_CELLS_PER_SD) ** 2 + _TABLE_ERR) / sigma
+    min_slope = np.minimum(dens[i0], dens[i1]) - slack
+    bad = np.nonzero(min_slope * tol < 2.0 * (hermite_err + table_err))[0]
     if bad.size:
         # near-flat cells: the exact solver from the table's value, within
         # the cell and its neighbours
@@ -305,11 +369,11 @@ def _resample_clusters(centers, sigma, targets, tol) -> np.ndarray:
     ends = np.concatenate((cuts, [n]))
     sizes = ends - starts
     spans = centers[ends - 1] - centers[starts]
-    tabled = (sizes >= _MIN_GRID_N) & ((spans + 20.0 * sigma) * _CELLS_PER_SD / sigma <= _MAX_GRID)
+    tabled = (sizes >= _MIN_GRID_N) & (spans + 20.0 * sigma <= _MAX_TABLE_SD * sigma)
 
     out = np.empty(n)
     for s, e in zip(starts[tabled], ends[tabled]):
-        out[s:e] = _resample_grid(centers[s:e], sigma, midpoint_nodes(e - s), tol, _CELLS_PER_SD)
+        out[s:e] = _resample_grid(centers[s:e], sigma, midpoint_nodes(e - s), tol)
     rest = np.flatnonzero(np.repeat(~tabled, sizes))
     if rest.size:
         # the quantile at node (i - 1/2)/N always lies within 9 sigma of the

@@ -312,7 +312,7 @@ def test_criterion_09_viscous_wp_contraction():
     ok = worst <= 1.0 + VISCOUS_RATIO_SLACK
     _report(9, ok, f"worst ratio over {n_pairs} pairs = {worst:.9f}, {elapsed:.1f}s")
     assert ok, f"viscous contraction ratio {worst} exceeds 1 + {VISCOUS_RATIO_SLACK}"
-    assert elapsed < 120.0
+    assert elapsed < 60.0
 
 
 def test_criterion_10_heat_kernel_contraction():

@@ -91,3 +91,4 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out and "pass" in out
     assert "pass  entropy screen" in out
+    assert "pass  heat table accuracy" in out

@@ -143,9 +143,9 @@ class TestHeatResample:
 
     @pytest.mark.parametrize("sigma", [0.05, 0.3, 1.2])
     def test_grid_cell_inversion_is_tight(self, random_pq, sigma):
-        # pins the in-cell cubic inversion of the table well below the 2e-10
-        # agreement check: a single Newton step per cell leaves errors near
-        # 7e-11 at sigma = 1.2; every 8th node keeps the reference cheap
+        # pins the in-cell quintic inversion of the table well below the
+        # 2e-10 agreement check: a single Newton step per cell left errors
+        # near 7e-11 at sigma = 1.2; every 8th node keeps the reference cheap
         for seed in range(6):
             pq = random_pq(seed, n=1024)
             nodes = np.arange(seed, 1024, 8)
@@ -180,12 +180,13 @@ class TestHeatResample:
 
 
 def counting(monkeypatch, name):
-    """Replace viscous.<name> by a wrapper that counts its calls."""
+    """Replace viscous.<name> by a wrapper that records the arguments of
+    each call."""
     calls = []
     real = getattr(viscous_mod, name)
 
     def wrapper(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(viscous_mod, name, wrapper)
@@ -237,6 +238,87 @@ class TestClusterSplit:
         for i in (0, 1, 999, 1000, 1998, 1999):
             exact = smoothed_quantile(sc, (i + 0.5) / n, tol=tol)
             assert abs(out.positions[i] - exact) <= 2 * tol
+
+
+def burgers_span2(random_pq):
+    """The viscous benchmark's data: random(30000) after one Burgers
+    transport step, span about 2."""
+    return th_step(random_pq(30000, n=1024), make_builtin("burgers"), 0.1)
+
+
+def two_clusters(n=1024):
+    """Half the mass uniform on [-1, -0.5], half within 0.1 right of 1."""
+    left = -1.0 + 0.5 * midpoint_nodes(n // 2)
+    right = 1.0 + 0.1 * midpoint_nodes(n // 2) ** 4
+    return ParticleQuantiles(np.concatenate([left, right]))
+
+
+# the benchmark's sigma = sqrt(2 nu h) for nu in {0.1, 1} and h in {0.01, 0.1}
+BENCH_SIGMAS = [0.045, 0.141, 0.447]
+
+
+class TestCdfTable:
+    @pytest.mark.parametrize("sigma", BENCH_SIGMAS)
+    @pytest.mark.parametrize("data", ["burgers span 2", "two clusters"])
+    def test_table_is_within_its_allowance(self, random_pq, data, sigma):
+        # the certificate counts on F, sigma F' and sigma^2 F'' lying within
+        # _TABLE_ERR of the exact values.  F is checked against brute-force
+        # sums, taken from the complement right of the median: a window sum
+        # of a thousand terms near 1 rounds by up to 8e-15 on these data
+        pq = burgers_span2(random_pq) if data == "burgers span 2" else two_clusters()
+        c = pq.positions
+        x0, delta, f, dens, curv = viscous_mod._grid_cdf_table(c, sigma)
+        x = x0 + delta * np.arange(f.size)
+        z = (x[:, None] - c[None, :]) / sigma
+        lower = ndtr(z).mean(axis=1)
+        exact_f = np.where(lower <= 0.5, lower, 1.0 - ndtr(-z).mean(axis=1))
+        _, exact_dens = viscous_mod._ragged_window_eval(c, sigma, x, density=True)
+        exact_curv = -(z * np.exp(-0.5 * z * z)).mean(axis=1) / (sigma**2 * np.sqrt(2.0 * np.pi))
+        allowance = viscous_mod._TABLE_ERR
+        assert np.max(np.abs(f - exact_f)) <= allowance
+        assert sigma * np.max(np.abs(dens - exact_dens)) <= allowance
+        assert sigma**2 * np.max(np.abs(curv - exact_curv)) <= allowance
+
+    def test_heavy_atom_is_within_its_allowance(self):
+        # 8192 particles collapsed onto one point, as in a shock, smooth to
+        # the Gaussian itself; a running sum of their spline weights would
+        # be off by 1e-13
+        sigma = 0.141
+        x0, delta, f, dens, curv = viscous_mod._grid_cdf_table(np.full(8192, 0.3), sigma)
+        z = (x0 + delta * np.arange(f.size) - 0.3) / sigma
+        phi = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+        allowance = viscous_mod._TABLE_ERR
+        assert np.max(np.abs(f - np.where(z <= 0.0, ndtr(z), 1.0 - ndtr(-z)))) <= allowance
+        assert np.max(np.abs(sigma * dens - phi)) <= allowance
+        assert np.max(np.abs(sigma**2 * curv + z * phi)) <= allowance
+
+    @pytest.mark.parametrize("sigma", BENCH_SIGMAS)
+    def test_benchmark_shapes_never_reach_the_solver(self, monkeypatch, random_pq, sigma):
+        # every node of the viscous benchmark's data is certified from the table
+        solves = counting(monkeypatch, "_solve_nodes")
+        heat_resample(burgers_span2(random_pq), sigma)
+        assert solves == []
+
+    def test_isolated_end_atom_goes_to_the_solver(self, monkeypatch):
+        # an atom 15 sigma left of the rest stays in their cluster; its node
+        # lies at its center, where the density phi(0)/N = 3.9e-4 is too
+        # flat for the table's certificate at tol = 1e-10
+        n, sigma = 1024, 1.0
+        pq = ParticleQuantiles(np.concatenate([[-15.0], np.linspace(0.0, 2.0, n - 1)]))
+        solves = counting(monkeypatch, "_solve_nodes")
+        out = heat_resample(pq, sigma)
+        # the solver's third argument holds the levels it was asked for
+        assert len(solves) == 1 and 0.5 / n in solves[0][2]
+        assert np.max(np.abs(out.positions - exact_nodes(pq, sigma))) <= 2e-10
+
+
+def test_error_bound_constants_bound_their_suprema():
+    # the certificate's constants stand for Gaussian suprema: sup|phi^(5)|
+    # = sup|(z^5 - 10 z^3 + 15 z) phi| = 2.3071 and sup|phi''|/8 = 0.04987
+    z = np.linspace(-12.0, 12.0, 2_400_001)
+    phi = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+    assert np.max(np.abs((z**5 - 10.0 * z**3 + 15.0 * z) * phi)) <= viscous_mod._PHI5_BOUND
+    assert np.max(np.abs((z * z - 1.0) * phi)) / 8.0 <= viscous_mod._SLOPE_SLACK
 
 
 @st.composite
