@@ -103,9 +103,11 @@ class ParticleQuantiles:
         pos = _frozen_array(self.positions)
         if pos.size < 1:
             raise ValueError("need at least one particle")
-        if not np.all(np.isfinite(pos)):
+        # the scheme wraps every step array, so these checks are written as
+        # the fewest numpy passes
+        if not np.isfinite(pos).all():
             raise ValueError("positions must be finite")
-        if pos.size > 1 and np.any(np.diff(pos) < 0):
+        if (pos[1:] < pos[:-1]).any():
             raise ValueError("positions must be nondecreasing")
         object.__setattr__(self, "positions", pos)
 
@@ -232,22 +234,45 @@ def quantile_staircase(obj):
 
 def _mixture_staircase(low: ParticleQuantiles, high: ParticleQuantiles, s: float):
     """Quantile staircase of the mixture (1 - s) F_low + s F_high of two
-    equal-size particle systems, from one merge of their sorted positions.
+    equal-size particle systems: ``_mixture_merge`` of the pair, then
+    ``_mixture_levels`` at weight s.  States that share the pair can share
+    the merge; the levels are the same bits either way.
+    """
+    merge = _mixture_merge(low, high)
+    return _mixture_levels(merge, s), merge[2]
 
-    One stable argsort of [low, high] merges the two sorted runs; after the
-    k-th merged position, c_lo low and c_hi high particles lie at or left of
-    it, so the level there is (1 - s) c_lo/n + s c_hi/n.  Rounding is
-    monotone in each count, so the levels are nondecreasing; at the last of
-    each run of tied positions they are the mixture CDF there.
+
+def _mixture_merge(low: ParticleQuantiles, high: ParticleQuantiles):
+    """The part of a mixture staircase that does not depend on s: one merge
+    of the sorted positions of two equal-size particle systems.
+
+    One stable argsort of [low, high] merges the two sorted runs.  Returns
+    (c_lo/n, c_hi/n, merged positions), where at and left of the k-th merged
+    position lie c_lo low and c_hi high particles, k + 1 in all.  The merge
+    keeps each run in order, so the particle there is the c_hi-th high one
+    (c_hi = order[k] - n + 1) or the c_lo-th low one (c_hi = k - order[k]);
+    no running count is needed.
     """
     n = low.n
     merged = np.concatenate([low.positions, high.positions])
     order = np.argsort(merged, kind="stable")
-    c_hi = np.cumsum(order >= n)
-    c_lo = np.arange(1, 2 * n + 1) - c_hi
-    levels = (1.0 - s) * (c_lo / n) + s * (c_hi / n)
+    k = np.arange(2 * n)
+    c_hi = np.where(order >= n, order - (n - 1), k - order)
+    c_lo = k + 1 - c_hi
+    return c_lo / n, c_hi / n, merged[order]
+
+
+def _mixture_levels(merge, s: float) -> np.ndarray:
+    """Levels (1 - s) c_lo/n + s c_hi/n of a ``_mixture_merge``.
+
+    Rounding is monotone in each count, so the levels are nondecreasing; at
+    the last of each run of tied positions they are the mixture CDF there.
+    The last level is set to exactly 1.
+    """
+    lo, hi, _ = merge
+    levels = (1.0 - s) * lo + s * hi
     levels[-1] = 1.0
-    return levels, merged[order]
+    return levels
 
 
 def _cdf_of_staircase(levels, positions) -> StepCdf:

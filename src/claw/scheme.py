@@ -125,11 +125,13 @@ def decompose_time(t: float, h: float) -> tuple[int, float]:
     A fractional part within 1e-12 of 1 rolls over to the next step so that
     step boundaries are hit deterministically despite rounding.
     """
-    if h <= 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step size must be finite and positive, got {h}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     q = t / h
+    if not math.isfinite(q):
+        raise ValueError(f"t/h overflows for t={t}, h={h}")
     n = int(math.floor(q))
     s = q - n
     if s >= 1.0 - _STEP_ROLL_GUARD:

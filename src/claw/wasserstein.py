@@ -8,9 +8,14 @@ up to rounding.  No quadrature, no tolerance.
 
 Each side is a quantile staircase (levels, positions) from
 ``quantile_staircase``.  One stable argsort merges the two level arrays into
-a partition of (0, 1]; a running count of A-origin levels gives each piece
-its index into both staircases.  Tied levels make pieces of zero length,
-which add nothing to the sum.  ``w1_via_cdf`` integrates |F_a - F_b|
+a partition of (0, 1]; a piece's position in the merge and its level's
+index in its own staircase give its index into both staircases.  Tied levels make pieces of zero length,
+which add nothing to the sum.  ``wp_trajectory`` merges the two particle
+systems of a scheme state once for every run of states whose ``base`` and
+``next`` are the same objects, as ``sh_trajectory`` and
+``viscous_trajectory`` produce within one step; each state then needs only
+its levels at its own weight s.  The result is exact up to rounding whether
+or not states share.  ``w1_via_cdf`` integrates |F_a - F_b|
 instead, the independent check of the identity W_1 = L^1 of the CDFs.
 """
 
@@ -21,7 +26,8 @@ import numpy as np
 from .measures import (
     ParticleQuantiles,
     StepCdf,
-    _mixture_staircase,
+    _mixture_levels,
+    _mixture_merge,
     as_step_cdf,
     quantile_staircase,
     tail_moment,
@@ -36,6 +42,11 @@ __all__ = [
     "wp_from_staircases",
     "wp_trajectory",
 ]
+
+
+# integer orders up to this one are raised by repeated products; their
+# p - 1 roundings stay within a few units in the last place
+_MAX_PRODUCT_ORDER = 8
 
 
 def _check_order(p: float) -> float:
@@ -61,6 +72,17 @@ def wp_particles(a: ParticleQuantiles, b: ParticleQuantiles, p: float = 1.0) -> 
     return float(np.mean(gaps**p) ** (1.0 / p))
 
 
+def _power(gaps: np.ndarray, p: float) -> np.ndarray:
+    """gaps**p; a small integer order by repeated products, which cost a
+    fraction of a ``pow`` call per element."""
+    if p.is_integer() and p <= _MAX_PRODUCT_ORDER:
+        out = gaps
+        for _ in range(int(p) - 1):
+            out = out * gaps
+        return out
+    return gaps**p
+
+
 def _wp_merge(stair_a, stair_b, orders):
     """W_p for each order, on the merged level partition of two quantile
     staircases."""
@@ -68,16 +90,21 @@ def _wp_merge(stair_a, stair_b, orders):
     lev_b, pos_b = stair_b
     # concatenated twice so that no unsorted copy outlives the sort
     order = np.argsort(np.concatenate([lev_a, lev_b]), kind="stable")
-    widths = np.diff(np.concatenate([lev_a, lev_b])[order], prepend=0.0)
-    from_a = order < lev_a.size
+    levels = np.concatenate([lev_a, lev_b])[order]
+    widths = np.empty_like(levels)
+    widths[0] = levels[0]
+    np.subtract(levels[1:], levels[:-1], out=widths[1:])
     # idx_a A-levels and k - idx_a B-levels merge before position k; they
-    # index Q_a and Q_b on the k-th piece
-    idx_a = np.cumsum(from_a) - from_a
-    idx_b = np.arange(order.size) - idx_a
+    # index Q_a and Q_b on the k-th piece.  The merge keeps each staircase
+    # in order, so an A-level there is A's idx_a-th (idx_a = order[k]) and a
+    # B-level is B's (k - idx_a)-th (idx_a = k - order[k] + lev_a.size).
+    k = np.arange(order.size)
+    idx_a = np.where(order < lev_a.size, order, k - order + lev_a.size)
+    idx_b = k - idx_a
     gaps = pos_a[np.minimum(idx_a, lev_a.size - 1, out=idx_a)]
     gaps -= pos_b[np.minimum(idx_b, lev_b.size - 1, out=idx_b)]
     np.abs(gaps, out=gaps)
-    return [np.sum(gaps**p * widths) ** (1.0 / p) for p in orders]
+    return [np.dot(_power(gaps, p), widths) ** (1.0 / p) for p in orders]
 
 
 def wp_from_staircases(stair_a, stair_b, p_list):
@@ -87,6 +114,19 @@ def wp_from_staircases(stair_a, stair_b, p_list):
     return [float(w) for w in _wp_merge(stair_a, stair_b, orders)]
 
 
+def _staircases(states):
+    """The mixture staircase of each SchemeState in turn.  A run of states
+    whose ``base`` and ``next`` are the same two objects shares one
+    ``_mixture_merge``; the previous merge is dropped before the next one
+    is built."""
+    pair = merge = None
+    for state in states:
+        if pair is None or state.base is not pair[0] or state.next is not pair[1]:
+            pair, merge = (state.base, state.next), None
+            merge = _mixture_merge(*pair)
+        yield _mixture_levels(merge, state.s), merge[2]
+
+
 def wp_trajectory(states_a, states_b, p_list) -> np.ndarray:
     """W_p between paired scheme states for every order in ``p_list``.
 
@@ -94,14 +134,17 @@ def wp_trajectory(states_a, states_b, p_list) -> np.ndarray:
     (as returned by ``sh_trajectory`` or ``viscous_trajectory``); the two
     sides may have different particle counts.  Returns an array of shape
     (len(states_a), len(p_list)) whose row t holds W_p(a_t, b_t).
+
+    Consecutive states on one side whose ``base`` and ``next`` are the same
+    objects, as ``sh_trajectory`` and ``viscous_trajectory`` hand out for
+    the sample times within one step, share the merge of those two
+    particle systems.  The result is exact up to rounding either way.
     """
     orders = [_check_order(p) for p in p_list]
     if len(states_a) != len(states_b):
         raise ValueError(f"trajectories differ in length ({len(states_a)} vs {len(states_b)})")
     out = np.empty((len(states_a), len(orders)))
-    for t, (state_a, state_b) in enumerate(zip(states_a, states_b)):
-        stair_a = _mixture_staircase(state_a.base, state_a.next, state_a.s)
-        stair_b = _mixture_staircase(state_b.base, state_b.next, state_b.s)
+    for t, (stair_a, stair_b) in enumerate(zip(_staircases(states_a), _staircases(states_b))):
         out[t] = _wp_merge(stair_a, stair_b, orders)
     return out
 

@@ -123,7 +123,7 @@ def test_criterion_01_inviscid_wp_contraction():
     ok = worst <= 1.0 + INVISCID_RATIO_SLACK
     _report(1, ok, f"worst W_p(t)/W_p(0) = {worst:.15f} over 200 pairs, {elapsed:.1f}s")
     assert ok, f"contraction ratio {worst} exceeds 1 + {INVISCID_RATIO_SLACK}"
-    assert elapsed < 60.0
+    assert elapsed < 15.0
 
 
 def test_criterion_02_classical_constancy():

@@ -52,6 +52,39 @@ class TestStepCdfValidation:
             heaviside.breakpoints[0] = 3.0
 
 
+class TestParticleQuantilesValidation:
+    @pytest.mark.parametrize(
+        "positions, match",
+        [
+            ([0.0, np.nan, 1.0], "finite"),
+            ([0.0, 1.0, np.inf], "finite"),
+            ([-np.inf, 0.0, 1.0], "finite"),
+            ([0.0, 2.0, 1.0, 3.0], "nondecreasing"),
+            ([[0.0, 1.0], [2.0, 3.0]], "1-d"),
+            ([], "at least one"),
+        ],
+        ids=["nan", "plus-inf", "minus-inf", "descending", "2-d", "empty"],
+    )
+    def test_rejects_bad_positions(self, positions, match):
+        with pytest.raises(ValueError, match=match):
+            ParticleQuantiles(positions)
+
+    def test_accepts_ties_and_one_particle(self):
+        assert ParticleQuantiles([1.0, 1.0, 2.0]).n == 3
+        assert ParticleQuantiles([5.0]).n == 1
+
+    def test_positions_are_read_only(self):
+        pq = ParticleQuantiles([0.0, 1.0])
+        with pytest.raises(ValueError):
+            pq.positions[0] = -1.0
+
+    def test_caller_array_is_copied(self):
+        src = np.array([0.0, 1.0, 2.0])
+        pq = ParticleQuantiles(src)
+        src[0] = 5.0
+        assert np.array_equal(pq.positions, [0.0, 1.0, 2.0])
+
+
 class TestGeneralizedInverse:
     def test_single_atom(self):
         assert generalized_inverse(heaviside, 0.3) == 0.0

@@ -112,6 +112,26 @@ class TestDecomposeTime:
         with pytest.raises(ValueError):
             decompose_time(1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "t, h, match",
+        [
+            (np.inf, 0.1, "time .* got inf"),
+            (np.nan, 0.1, "time .* got nan"),
+            (1.0, np.nan, "step size .* got nan"),
+            (1.0, np.inf, "step size .* got inf"),
+            (-np.inf, 0.1, "time .* got -inf"),
+            (1e300, 1e-300, "overflows"),
+        ],
+        ids=["t-inf", "t-nan", "h-nan", "h-inf", "t-minus-inf", "t-over-h-overflows"],
+    )
+    def test_non_finite_rejected(self, t, h, match):
+        with pytest.raises(ValueError, match=match):
+            decompose_time(t, h)
+
+    def test_trajectory_rejects_infinite_time(self, random_pq):
+        with pytest.raises(ValueError, match="got inf"):
+            sh_trajectory(random_pq(4), burgers, 0.1, [0.0, np.inf])
+
 
 class TestEvolveSh:
     def test_time_zero(self, random_pq):

@@ -14,7 +14,7 @@ from claw.measures import (
     cdf_from_particles,
     midpoint_nodes,
 )
-from claw.scheme import sh_as_cdf, sh_trajectory
+from claw.scheme import SchemeState, sh_as_cdf, sh_trajectory
 from claw.wasserstein import (
     quantile_staircase,
     w1_via_cdf,
@@ -312,3 +312,57 @@ class TestWpTrajectoryErrors:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="differ in length"):
             wp_trajectory(self._states(3), self._states(4), [1.0])
+
+
+def test_trajectory_reuses_a_merge_only_for_the_same_pair():
+    """Hand-built states that share objects in every way but the one the
+    merge reuse is keyed on: both base and next the same objects."""
+    flux = make_builtin("burgers")
+
+    def pq(seed, n):
+        return build_initial({"preset": f"random({seed})"}, n)
+
+    def state(base, nxt, s):
+        return SchemeState(base=base, next=nxt, s=s, h=0.1, steps_taken=0, flux=flux)
+
+    a0, a1, a2, a3 = (pq(seed, 16) for seed in (11, 12, 13, 14))
+    c0, c1 = (pq(seed, 16) for seed in (15, 16))
+    a0_copy, a2_copy = ParticleQuantiles(a0.positions), ParticleQuantiles(a2.positions)
+    b0, b1, b2 = (pq(seed, 24) for seed in (21, 22, 23))
+    states_a = [
+        state(a0, a1, 0.0),
+        state(a0, a1, 0.4),
+        state(a0, a2, 0.4),  # same base, new next
+        state(a0, a2, 0.7),
+        state(a0_copy, a2_copy, 0.7),  # equal values, distinct objects
+        state(a3, a2, 0.1),  # same next, new base
+        state(c0, c1, 0.5),  # two trajectories interleaved
+        state(a3, a2, 0.5),
+        state(c0, c1, 0.9),
+        state(a3, a2, 0.9),
+    ]
+    states_b = [
+        state(b0, b1, 0.0),
+        state(b0, b1, 0.4),
+        state(b0, b1, 0.6),
+        state(b0, b2, 0.6),
+        state(b0, b2, 0.7),
+        state(b1, b2, 0.7),
+        state(b0, b2, 0.5),
+        state(b1, b2, 0.5),
+        state(b0, b2, 0.9),
+        state(b1, b2, 0.9),
+    ]
+    orders = [3, 1, 2.5, 3]  # unsorted, fractional and repeated
+    got = wp_trajectory(states_a, states_b, orders)
+    ref = np.array(
+        [
+            wp_from_staircases(
+                quantile_staircase(sh_as_cdf(x)), quantile_staircase(sh_as_cdf(y)), orders
+            )
+            for x, y in zip(states_a, states_b)
+        ]
+    )
+    assert got.shape == (len(states_a), len(orders))
+    assert np.all(ref > 0)
+    assert np.all(np.abs(got - ref) <= 1e-13 * ref)
