@@ -3,7 +3,9 @@
 Grammar: ``key = value`` lines, ``#`` comments, and ``[flux]`` /
 ``[initial_a]`` / ``[initial_b]`` sections.  Unknown keys or sections are
 errors.  Values are whitespace- or comma-separated where a list is
-expected.
+expected.  ``_TOP_KEYS`` is the one list of top-level keys, with the
+``ExperimentConfig`` field and the reader of each; ``--set`` overrides pass
+the key test of file lines.
 
 Initial-datum presets (the ``preset`` key of an initial section):
 
@@ -49,22 +51,8 @@ KINDS = (
     "entropy_residual",
 )
 
-_TOP_KEYS = {
-    "kind",
-    "n_particles",
-    "h",
-    "t_final",
-    "p_list",
-    "n_times",
-    "nu",
-    "seed",
-    "r_tail",
-    "output",
-}
-_FLUX_KEYS = {"name", "file"}
 _INITIAL_KEYS = {"preset", "a", "b", "atoms"}
-_SECTIONS = {"flux": _FLUX_KEYS, "initial_a": _INITIAL_KEYS, "initial_b": _INITIAL_KEYS}
-
+_SECTIONS = {"flux": {"name", "file"}, "initial_a": _INITIAL_KEYS, "initial_b": _INITIAL_KEYS}
 _PRESET_RE = re.compile(r"^\s*([a-z_0-9]+)\s*(?:\(\s*([^)]*)\s*\))?\s*$")
 
 
@@ -94,29 +82,46 @@ class ExperimentConfig:
         return self.h_list[0]
 
 
-def _parse_lines(text: str):
-    """Raw (section, key) -> value mapping with syntax checking."""
+def _keys(section: str | None, where: str):
+    """The keys allowed in ``section`` (None: the top level)."""
+    if section is None:
+        return _TOP_KEYS
+    if section not in _SECTIONS:
+        raise ConfigError(f"{where}: unknown section [{section}]")
+    return _SECTIONS[section]
+
+
+def _parse_lines(text: str, overrides=None):
+    """Raw (section, key) -> value mapping with syntax checking.  Each
+    override ("key" or "section.key", value) passes the key test of a file
+    line and replaces it."""
     out: dict[tuple[str | None, str], str] = {}
+
+    def put(where, section, key, value):
+        if key not in _keys(section, where):
+            place = f"section [{section}]" if section else "top level"
+            raise ConfigError(f"{where}: unknown key {key!r} in {place}")
+        out[(section, key)] = value
+
     section: str | None = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"line {lineno}"
         if line.startswith("["):
             if not line.endswith("]"):
-                raise ConfigError(f"line {lineno}: malformed section header {line!r}")
+                raise ConfigError(f"{where}: malformed section header {line!r}")
             section = line[1:-1].strip()
-            if section not in _SECTIONS:
-                raise ConfigError(f"line {lineno}: unknown section [{section}]")
+            _keys(section, where)
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
+            raise ConfigError(f"{where}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        allowed = _SECTIONS[section] if section else _TOP_KEYS
-        if key not in allowed:
-            where = f"section [{section}]" if section else "top level"
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in {where}")
-        out[(section, key)] = value
+        put(where, section, key, value)
+    for dotted, value in overrides or []:
+        section, key = dotted.split(".", 1) if "." in dotted else (None, dotted)
+        put(f"override {dotted!r}", section, key, value)
     return out
 
 
@@ -149,6 +154,27 @@ def _one_int(value: str, key: str) -> int:
         raise ConfigError(f"field {key!r}: {exc}") from exc
 
 
+def _kind(value: str, key: str) -> str:
+    if value not in KINDS:
+        raise ConfigError(f"field {key!r}: unknown kind {value!r}; choose from {KINDS}")
+    return value
+
+
+# top-level key -> (ExperimentConfig field, reader of the value text)
+_TOP_KEYS = {
+    "kind": ("kind", _kind),
+    "n_particles": ("n_particles", _one_int),
+    "h": ("h_list", _floats),
+    "t_final": ("t_final", _one_float),
+    "p_list": ("p_list", _floats),
+    "n_times": ("n_times", _one_int),
+    "nu": ("nu", _one_float),
+    "seed": ("seed", _one_int),
+    "r_tail": ("r_tail", _one_float),
+    "output": ("output", lambda value, key: value),
+}
+
+
 def _build_flux(entries: dict) -> FluxModel:
     name = entries.get("name", "burgers")
     if name == "tabulated":
@@ -169,55 +195,23 @@ def _build_flux(entries: dict) -> FluxModel:
 def parse_config(text: str, overrides=None) -> ExperimentConfig:
     """Parse and validate a config; ``overrides`` are CLI ``--set`` pairs
     of the form ("key", "value") or ("section.key", "value")."""
-    entries = _parse_lines(text)
-    for dotted, value in overrides or []:
-        if "." in dotted:
-            section, key = dotted.split(".", 1)
-            if section not in _SECTIONS:
-                raise ConfigError(f"override {dotted!r}: unknown section {section!r}")
-            if key not in _SECTIONS[section]:
-                raise ConfigError(f"override {dotted!r}: unknown key {key!r}")
-            entries[(section, key)] = value
-        else:
-            if dotted not in _TOP_KEYS:
-                raise ConfigError(f"override {dotted!r}: unknown key")
-            entries[(None, dotted)] = value
-
-    if (None, "kind") not in entries:
-        raise ConfigError("field 'kind': required")
-    kind = entries[(None, "kind")]
-    if kind not in KINDS:
-        raise ConfigError(f"field 'kind': unknown kind {kind!r}; choose from {KINDS}")
-
-    flux = _build_flux({k: v for (sec, k), v in entries.items() if sec == "flux"})
-    cfg = ExperimentConfig(kind=kind, flux=flux)
-    cfg.raw = {
-        (f"{sec}.{k}" if sec else k): v for (sec, k), v in sorted(entries.items(), key=str)
+    entries = _parse_lines(text, overrides)
+    fields = {
+        name: read(entries[(None, key)], key)
+        for key, (name, read) in _TOP_KEYS.items()
+        if (None, key) in entries
     }
-
-    if (None, "n_particles") in entries:
-        cfg.n_particles = _one_int(entries[(None, "n_particles")], "n_particles")
-    if (None, "h") in entries:
-        cfg.h_list = _floats(entries[(None, "h")], "h")
-    if (None, "t_final") in entries:
-        cfg.t_final = _one_float(entries[(None, "t_final")], "t_final")
-    if (None, "p_list") in entries:
-        cfg.p_list = _floats(entries[(None, "p_list")], "p_list")
-    if (None, "n_times") in entries:
-        cfg.n_times = _one_int(entries[(None, "n_times")], "n_times")
-    if (None, "nu") in entries:
-        cfg.nu = _one_float(entries[(None, "nu")], "nu")
-    if (None, "seed") in entries:
-        cfg.seed = _one_int(entries[(None, "seed")], "seed")
-    if (None, "r_tail") in entries:
-        cfg.r_tail = _one_float(entries[(None, "r_tail")], "r_tail")
-    if (None, "output") in entries:
-        cfg.output = entries[(None, "output")]
+    if "kind" not in fields:
+        raise ConfigError("field 'kind': required")
     for sec in ("initial_a", "initial_b"):
         picked = {k: v for (s, k), v in entries.items() if s == sec}
         if picked:
-            setattr(cfg, sec, picked)
-
+            fields[sec] = picked
+    flux = _build_flux({k: v for (sec, k), v in entries.items() if sec == "flux"})
+    cfg = ExperimentConfig(flux=flux, **fields)
+    cfg.raw = {
+        (f"{sec}.{k}" if sec else k): v for (sec, k), v in sorted(entries.items(), key=str)
+    }
     _validate(cfg)
     return cfg
 
@@ -250,51 +244,28 @@ def _validate(cfg: ExperimentConfig):
             )
     # fail early on malformed initial data
     for sec in ("initial_a", "initial_b"):
-        build_initial(getattr(cfg, sec), 4, field_name=sec)
+        parse_preset(getattr(cfg, sec), sec)
 
 
 def parse_preset(spec: dict, field_name: str = "initial") -> tuple[str, tuple]:
-    """The preset name and its numeric arguments, e.g. ("uniform", (0.0, 1.0)).
-
-    A random preset's seed is read as an exact integer in [0, 2^64), never
-    through a double, so distinct seeds always give distinct generators.
+    """The preset name and its checked arguments: ("dirac", (x,)),
+    ("uniform", (a, b)) with a < b, ("two_atom", (x1, x2)) or ("random",
+    (seed, a, b, atoms)) with a < b and a nonempty tuple of atoms.  Every
+    check of an initial-datum spec is made here.  A random preset's seed is
+    read as an exact integer in [0, 2^64), never through a double, so
+    distinct seeds always give distinct generators.
     """
     preset = spec.get("preset", "random(7)")
+    where = f"field '{field_name}.preset'"
     m = _PRESET_RE.match(preset)
     if not m:
-        raise ConfigError(f"field '{field_name}.preset': cannot parse {preset!r}")
-    name, argtext = m.group(1), m.group(2) or ""
+        raise ConfigError(f"{where}: cannot parse {preset!r}")
+    name, argtext = m.group(1), (m.group(2) or "").strip()
     if name == "random":
-        text = argtext.strip()
-        if not re.fullmatch(r"[0-9]+", text) or int(text) >= 1 << 64:
+        if not re.fullmatch(r"[0-9]+", argtext) or int(argtext) >= 1 << 64:
             raise ConfigError(
-                f"field '{field_name}.preset': random needs an integer seed in "
-                f"[0, 2^64), got {text!r}"
+                f"{where}: random needs an integer seed in [0, 2^64), got {argtext!r}"
             )
-        return name, (int(text),)
-    return name, _floats(argtext, f"{field_name}.preset") if argtext else ()
-
-
-def build_initial(spec: dict, n: int, field_name: str = "initial") -> ParticleQuantiles:
-    """Particle system of size n from an initial-datum spec dict."""
-    name, args = parse_preset(spec, field_name)
-
-    if name == "dirac":
-        if len(args) != 1:
-            raise ConfigError(f"field '{field_name}.preset': dirac takes one position")
-        return ParticleQuantiles(np.full(n, args[0]))
-    if name == "uniform":
-        if len(args) != 2 or args[1] <= args[0]:
-            raise ConfigError(f"field '{field_name}.preset': uniform needs a < b")
-        a, b = args
-        return ParticleQuantiles(a + (b - a) * midpoint_nodes(n))
-    if name == "two_atom":
-        if len(args) != 2:
-            raise ConfigError(f"field '{field_name}.preset': two_atom needs two positions")
-        x1, x2 = sorted(args)
-        half = n // 2
-        return ParticleQuantiles(np.concatenate([np.full(n - half, x1), np.full(half, x2)]))
-    if name == "random":
         a = _one_float(spec.get("a", "-1"), f"{field_name}.a")
         b = _one_float(spec.get("b", "1"), f"{field_name}.b")
         if b <= a:
@@ -302,15 +273,39 @@ def build_initial(spec: dict, n: int, field_name: str = "initial") -> ParticleQu
         atoms = _floats(spec.get("atoms", "-0.5 0.5"), f"{field_name}.atoms")
         if not atoms:
             raise ConfigError(f"field '{field_name}.atoms': needs at least one site")
-        # draw 2i is the coin, draw 2i+1 the value on either branch, so these
-        # are the IEEE operations of Lcg64.uniform and Lcg64.choice (the
-        # index is never negative, so clipping is choice's min(idx, len - 1))
-        u = lcg_floats(args[0], 2 * n)
-        coin, val = u[0::2], u[1::2]
-        picked = np.take(atoms, (val * len(atoms)).astype(np.intp), mode="clip")
-        draws = np.where(coin < 0.5, a + (b - a) * val, picked)
-        return ParticleQuantiles(np.sort(draws, kind="stable"))
-    raise ConfigError(
-        f"field '{field_name}.preset': unknown preset {name!r}; "
-        "choose from dirac, uniform, two_atom, random"
-    )
+        return name, (int(argtext), a, b, atoms)
+    args = _floats(argtext, f"{field_name}.preset") if argtext else ()
+    if name == "dirac" and len(args) != 1:
+        raise ConfigError(f"{where}: dirac takes one position")
+    if name == "uniform" and (len(args) != 2 or args[1] <= args[0]):
+        raise ConfigError(f"{where}: uniform needs a < b")
+    if name == "two_atom" and len(args) != 2:
+        raise ConfigError(f"{where}: two_atom needs two positions")
+    if name not in ("dirac", "uniform", "two_atom"):
+        raise ConfigError(
+            f"{where}: unknown preset {name!r}; choose from dirac, uniform, two_atom, random"
+        )
+    return name, args
+
+
+def build_initial(spec: dict, n: int, field_name: str = "initial") -> ParticleQuantiles:
+    """Particle system of size n from an initial-datum spec dict."""
+    name, args = parse_preset(spec, field_name)
+    if name == "dirac":
+        return ParticleQuantiles(np.full(n, args[0]))
+    if name == "uniform":
+        a, b = args
+        return ParticleQuantiles(a + (b - a) * midpoint_nodes(n))
+    if name == "two_atom":
+        x1, x2 = sorted(args)
+        half = n // 2
+        return ParticleQuantiles(np.concatenate([np.full(n - half, x1), np.full(half, x2)]))
+    seed, a, b, atoms = args
+    # draw 2i is the coin, draw 2i+1 the value on either branch, so these
+    # are the IEEE operations of Lcg64.uniform and Lcg64.choice (the
+    # index is never negative, so clipping is choice's min(idx, len - 1))
+    u = lcg_floats(seed, 2 * n)
+    coin, val = u[0::2], u[1::2]
+    picked = np.take(atoms, (val * len(atoms)).astype(np.intp), mode="clip")
+    draws = np.where(coin < 0.5, a + (b - a) * val, picked)
+    return ParticleQuantiles(np.sort(draws, kind="stable"))

@@ -39,8 +39,10 @@ class ResultTable:
                 raise ValueError(
                     f"row of width {len(row)} does not match {len(self.columns)} columns"
                 )
-            if not all(np.isfinite(v) for v in row):
-                raise ValueError(f"non-finite entry in row {row}")
+        shape = (len(self.rows), len(self.columns))
+        finite = np.isfinite(np.array(self.rows, dtype=float).reshape(shape)).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"non-finite entry in row {self.rows[int(np.argmin(finite))]}")
 
     def column(self, name: str) -> np.ndarray:
         idx = self.columns.index(name)
@@ -113,8 +115,7 @@ def _oracle_cdf(cfg: ExperimentConfig, t: float):
         return exact_rarefaction_cdf(t)
     if name == "dirac":
         shock = exact_shock_cdf(cfg.flux, t)  # raises for non-admissible fluxes
-        x0 = build_initial(cfg.initial_a, 1, "initial_a").positions[0]
-        return StepCdf(shock.breakpoints + x0, shock.values)
+        return StepCdf(shock.breakpoints + args[0], shock.values)
     preset = cfg.initial_a.get("preset", "random(7)")
     raise ValueError(
         f"no exact oracle for flux {cfg.flux.name!r} with initial datum {preset!r}"

@@ -13,6 +13,8 @@ from typing import Callable
 
 import numpy as np
 
+from .measures import _checked
+
 __all__ = ["FluxModel", "make_builtin", "make_tabulated", "flux_from_file", "BUILTIN_FLUXES"]
 
 _DOMAIN_SLACK = 1e-9
@@ -43,7 +45,7 @@ class FluxModel:
 
 
 def _linear(c: float) -> FluxModel:
-    c = float(c)
+    c = _checked(c, "linear flux speed", -np.inf)
     return FluxModel(
         name=f"linear({c:g})",
         f=lambda u: c * u,

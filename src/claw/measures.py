@@ -36,6 +36,16 @@ __all__ = [
 ]
 
 
+def _checked(value, what: str, least: float = 0.0, strict: bool = False) -> float:
+    """``value`` as a float, once it is finite and at least ``least`` (above
+    it if ``strict``): the one range check of every public numeric argument."""
+    v = float(value)
+    if not (np.isfinite(v) and (v > least if strict else v >= least)):
+        rule = f"{'greater than' if strict else 'at least'} {least:g}"
+        raise ValueError(f"{what} must be finite and {rule}, got {v}")
+    return v
+
+
 def _frozen_array(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
@@ -149,7 +159,7 @@ class MixtureState:
 
 def _check_quantile_arg(w) -> np.ndarray:
     w_arr = np.asarray(w, dtype=float)
-    if np.any(w_arr <= 0.0) or np.any(w_arr >= 1.0):
+    if not ((w_arr > 0.0) & (w_arr < 1.0)).all():
         raise ValueError(f"quantile argument must lie strictly in (0, 1), got {w}")
     return w_arr
 
@@ -199,17 +209,14 @@ def _particle_cdf_eval(pq: ParticleQuantiles, x: np.ndarray) -> np.ndarray:
 
 def moment(pq: ParticleQuantiles, p: float) -> float:
     """p-th absolute moment (1/N) sum |x_i|^p, p >= 1."""
-    if p < 1:
-        raise ValueError(f"moment order must satisfy p >= 1, got {p}")
+    p = _checked(p, "moment order p", 1.0)
     return float(np.mean(np.abs(pq.positions) ** p))
 
 
 def tail_moment(pq: ParticleQuantiles, p: float, r: float) -> float:
     """Tail moment (1/N) sum_{|x_i| >= r} |x_i|^p; equals moment at r = 0."""
-    if p < 1:
-        raise ValueError(f"moment order must satisfy p >= 1, got {p}")
-    if r < 0:
-        raise ValueError(f"tail radius must be nonnegative, got {r}")
+    p = _checked(p, "moment order p", 1.0)
+    r = _checked(r, "tail radius r")
     absx = np.abs(pq.positions)
     return float(np.sum(np.where(absx >= r, absx**p, 0.0)) / pq.n)
 

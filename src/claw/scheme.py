@@ -19,6 +19,7 @@ from .measures import (
     MixtureState,
     ParticleQuantiles,
     StepCdf,
+    _checked,
     midpoint_nodes,
 )
 
@@ -93,8 +94,7 @@ class SchemeState:
 
 def transport(pq: ParticleQuantiles, flux: FluxModel, h: float) -> RawPositions:
     """Move each particle by h*f'(w_i), w_i its midpoint quantile node."""
-    if h < 0:
-        raise ValueError(f"step size must be nonnegative, got {h}")
+    h = _checked(h, "step size h")
     return RawPositions(pq.positions + h * flux.deriv(pq.nodes))
 
 
@@ -114,8 +114,7 @@ def _step_positions(positions: np.ndarray, speeds: np.ndarray) -> np.ndarray:
 
 def th_step(pq: ParticleQuantiles, flux: FluxModel, h: float) -> ParticleQuantiles:
     """One transport-collapse step: ``collapse(transport(pq, flux, h))``."""
-    if h < 0:
-        raise ValueError(f"step size must be nonnegative, got {h}")
+    h = _checked(h, "step size h")
     return ParticleQuantiles(_step_positions(pq.positions, h * flux.deriv(pq.nodes)))
 
 
@@ -125,10 +124,8 @@ def decompose_time(t: float, h: float) -> tuple[int, float]:
     A fractional part within 1e-12 of 1 rolls over to the next step so that
     step boundaries are hit deterministically despite rounding.
     """
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"step size must be finite and positive, got {h}")
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"time must be finite and nonnegative, got {t}")
+    h = _checked(h, "step size h", strict=True)
+    t = _checked(t, "time t")
     q = t / h
     if not math.isfinite(q):
         raise ValueError(f"t/h overflows for t={t}, h={h}")
@@ -205,8 +202,7 @@ def classical_characteristics(
     Valid only while the transported positions stay nondecreasing; a crossing
     raises NonClassicalError with the first offending index.
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    t = _checked(t, "time t")
     moved = pq0.positions + t * flux.deriv(pq0.nodes)
     diffs = np.diff(moved)
     bad = np.nonzero(diffs < 0)[0]
@@ -218,8 +214,7 @@ def classical_characteristics(
 def exact_shock_cdf(flux: FluxModel, t: float) -> StepCdf:
     """Entropy solution of the 0-to-1 Riemann problem for a flux with
     nonincreasing f': a single shock travelling at speed f(1) - f(0)."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    t = _checked(t, "time t")
     grid = np.linspace(0.0, 1.0, 129)
     dspeeds = np.diff(flux.deriv(grid))
     if np.any(dspeeds > 1e-12):
@@ -235,8 +230,7 @@ def exact_rarefaction_cdf(t: float, resolution: int = 4096) -> StepCdf:
     """Entropy solution u(t, x) = x/(1+t) of the quadratic convex flux with
     uniform[0,1] initial profile, i.e. the uniform law on [0, 1+t],
     discretized at midpoint atoms of the given resolution."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    t = _checked(t, "time t")
     if resolution < 1:
         raise ValueError("resolution must be positive")
     width = 1.0 + t

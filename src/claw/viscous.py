@@ -6,12 +6,12 @@ to the particle representation by resampling the smoothed CDF at the
 midpoint quantile nodes.
 
 The smoothed CDF is the mixture F(x) = (1/N) sum_j Phi((x - c_j)/sigma).
-It is evaluated exactly by summing only the centers within 9 sigma of x and
-counting farther-left centers as full mass (truncation error below
-2.3e-19); the same terms give the density F'.  Two certified routes invert
-it.  The exact solver runs a bracketed Newton iteration on F and F' and
-returns x only once F(x - tol/2) <= w <= F(x + tol/2) or its bracket is
-narrower than tol; a node costs a few window sums.
+It is evaluated exactly by summing only the centers within 9 sigma of x,
+right of the median as 1 - F, and counting farther centers as full mass or
+none (truncation error below 2.3e-19); the same terms give the density F'.
+Two certified routes invert it.  The exact solver runs a bracketed Newton
+iteration on F and F' and returns x only once F(x - tol/2) <= w <= F(x +
+tol/2) or its bracket is narrower than tol; a node costs a few window sums.
 
 The CDF table holds F, F' and F'' on a uniform grid of 32 cells per sigma.
 Each atom is spread onto its 8 nearest cells with the degree-7 cardinal
@@ -59,7 +59,7 @@ from scipy.fft import next_fast_len, rfft, irfft
 from scipy.special import ndtr, ndtri
 
 from .fluxes import FluxModel
-from .measures import ParticleQuantiles, midpoint_nodes
+from .measures import ParticleQuantiles, _check_quantile_arg, _checked, midpoint_nodes
 from .scheme import SchemeState, _step_positions, sh_trajectory, th_step
 
 __all__ = [
@@ -140,9 +140,7 @@ class SmoothedCdf:
     sigma: float
 
     def __post_init__(self):
-        if not (float(self.sigma) > 0.0):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "sigma", _checked(self.sigma, "sigma", strict=True))
 
     def __call__(self, x):
         return smoothed_cdf_eval(self, x)
@@ -150,22 +148,36 @@ class SmoothedCdf:
 
 def _ragged_window_eval(centers: np.ndarray, sigma: float, x: np.ndarray, density: bool = False):
     """Exact mixture CDF at query points, summing only centers within the
-    9-sigma window and counting farther-left centers as full mass; with
-    ``density`` also the mixture density, from the same window terms."""
+    9-sigma window and counting farther centers as full mass or none; with
+    ``density`` also the mixture density, from the same window terms.
+
+    Right of the median center the sum is of the mass right of x, and F is
+    its complement, so F near 1 does not carry the rounding of a sum near
+    N.  Each query's terms are summed pairwise."""
     n = centers.size
     half = _WINDOW_SD * sigma
     lo = np.searchsorted(centers, x - half, side="right")
     hi = np.searchsorted(centers, x + half, side="right")
     counts = hi - lo
+    first = np.cumsum(counts) - counts
     owner = np.repeat(np.arange(x.size), counts)
     # term k of query q sums center lo[q] + (k - first term of q)
-    idx = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    idx = np.arange(counts.sum()) + np.repeat(lo - first, counts)
     z = (x[owner] - centers[idx]) / sigma
-    cdf = (lo + np.bincount(owner, weights=ndtr(z), minlength=x.size)) / n
+    right = x > centers[n // 2]
+    np.negative(z, out=z, where=right[owner])
+    mass = (np.where(right, n - hi, lo) + _query_sums(ndtr(z), first, counts)) / n
+    cdf = np.where(right, 1.0 - mass, mass)
     if not density:
         return cdf
-    dens = np.bincount(owner, weights=np.exp(-0.5 * z * z), minlength=x.size)
+    dens = _query_sums(np.exp(-0.5 * z * z), first, counts)
     return cdf, dens / (n * sigma * math.sqrt(2.0 * math.pi))
+
+
+def _query_sums(terms, first, counts):
+    """Pairwise sum of each query's run of terms, 0 for a query with none
+    (``reduceat`` gives an empty run the term at its start)."""
+    return np.where(counts > 0, np.add.reduceat(np.append(terms, 0.0), first), 0.0)
 
 
 def smoothed_cdf_eval(sc: SmoothedCdf, x):
@@ -179,8 +191,7 @@ def smoothed_quantile(sc: SmoothedCdf, w: float, tol: float = DEFAULT_TOL) -> fl
     """The unique x with F(x) = w, within tol/2, by the exact solver from a
     bracket widened until it holds the level.  A tol below twice the float
     spacing at the bracket's ends is rejected."""
-    if not (0.0 < w < 1.0):
-        raise ValueError(f"quantile level must lie in (0, 1), got {w}")
+    _check_quantile_arg(w)
     c = sc.centers.positions
     sigma = sc.sigma
     z = abs(float(ndtri(w)))
@@ -396,11 +407,8 @@ def heat_resample(
     the certified CDF table, all other nodes by the certified exact solver
     (see the module docstring).
     """
-    if not (sigma > 0.0):
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    sigma = _checked(sigma, "sigma", strict=True)
     centers = pq.positions
-    if not np.all(np.isfinite(centers)):
-        raise ValueError("positions must be finite")
     _check_tol(tol, max(abs(centers[0]), abs(centers[-1])) + 10.0 * sigma)
     pos = _resample_clusters(centers, sigma, midpoint_nodes(pq.n), tol)
     return ParticleQuantiles(np.sort(pos, kind="stable"))
@@ -413,10 +421,8 @@ def viscous_step(
     nu: float,
 ) -> ParticleQuantiles:
     """Transport-collapse step followed by heat smoothing of variance 2*nu*h."""
-    if not (h > 0.0):
-        raise ValueError(f"step size must be positive, got {h}")
-    if not (nu > 0.0):
-        raise ValueError(f"viscosity must be positive, got {nu}")
+    h = _checked(h, "step size h", strict=True)
+    nu = _checked(nu, "viscosity nu", strict=True)
     return heat_resample(th_step(pq, flux, h), math.sqrt(2.0 * nu * h))
 
 
@@ -428,8 +434,8 @@ def viscous_trajectory(
     times,
 ) -> list[SchemeState]:
     """Viscous scheme states at an ascending list of times."""
-    if not (nu > 0.0):
-        raise ValueError(f"viscosity must be positive, got {nu}")
+    h = _checked(h, "step size h", strict=True)
+    nu = _checked(nu, "viscosity nu", strict=True)
     speeds = h * flux.deriv(midpoint_nodes(pq0.n))
     sigma = math.sqrt(2.0 * nu * h)
 

@@ -26,6 +26,7 @@ import numpy as np
 from .measures import (
     ParticleQuantiles,
     StepCdf,
+    _checked,
     _mixture_levels,
     _mixture_merge,
     as_step_cdf,
@@ -49,13 +50,6 @@ __all__ = [
 _MAX_PRODUCT_ORDER = 8
 
 
-def _check_order(p: float) -> float:
-    p = float(p)
-    if not np.isfinite(p) or p < 1.0:
-        raise ValueError(f"Wasserstein order must be a finite real >= 1, got {p}")
-    return p
-
-
 def wp_particles(a: ParticleQuantiles, b: ParticleQuantiles, p: float = 1.0) -> float:
     """W_p between two equal-size particle systems.
 
@@ -63,7 +57,7 @@ def wp_particles(a: ParticleQuantiles, b: ParticleQuantiles, p: float = 1.0) -> 
     (monotone) coupling is optimal and the distance is the plain l^p mean of
     coordinate gaps.
     """
-    p = _check_order(p)
+    p = _checked(p, "Wasserstein order p", 1.0)
     if a.n != b.n:
         raise ValueError(
             f"particle counts differ ({a.n} vs {b.n}); resample to a common size first"
@@ -110,7 +104,7 @@ def _wp_merge(stair_a, stair_b, orders):
 def wp_from_staircases(stair_a, stair_b, p_list):
     """Exact integral of |Q_a - Q_b|^p over (0,1) for each p, on the merged
     level partition of the two quantile staircases."""
-    orders = [_check_order(p) for p in p_list]
+    orders = [_checked(p, "Wasserstein order p", 1.0) for p in p_list]
     return [float(w) for w in _wp_merge(stair_a, stair_b, orders)]
 
 
@@ -140,7 +134,7 @@ def wp_trajectory(states_a, states_b, p_list) -> np.ndarray:
     the sample times within one step, share the merge of those two
     particle systems.  The result is exact up to rounding either way.
     """
-    orders = [_check_order(p) for p in p_list]
+    orders = [_checked(p, "Wasserstein order p", 1.0) for p in p_list]
     if len(states_a) != len(states_b):
         raise ValueError(f"trajectories differ in length ({len(states_a)} vs {len(states_b)})")
     out = np.empty((len(states_a), len(orders)))

@@ -86,6 +86,20 @@ def test_set_override_applies(config_file, capsys):
     assert len(data_lines) == 1 + 3
 
 
+def test_tabulated_flux_runs_end_to_end(tmp_path, capsys):
+    table = tmp_path / "flux.txt"
+    table.write_text("0 0\n0.25 0.03125\n0.5 0.125\n1 0.5\n")
+    cfg = tmp_path / "tabulated.cfg"
+    cfg.write_text(GOOD.replace("name = burgers", f"name = tabulated\nfile = {table}"))
+    assert main(["run", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "# config flux.name = tabulated" in out
+    assert f"# config flux.file = {table}" in out
+    rows = [l.split(",") for l in out.splitlines() if l and not l.startswith(("#", "t,"))]
+    assert len(rows) == 5
+    assert all(float(r[2]) <= 1 + 1e-10 for r in rows)  # ratio1
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from claw.config import ConfigError, build_initial, parse_config
+import claw.config
+from claw.config import ConfigError, build_initial, parse_config, parse_preset
 from claw.lcg import Lcg64, lcg_floats
 
 MINIMAL = """
@@ -84,6 +85,83 @@ def test_overrides_reach_sections():
 def test_override_unknown_key_rejected():
     with pytest.raises(ConfigError, match="override"):
         parse_config(MINIMAL, overrides=[("frobnicate", "1")])
+
+
+@pytest.mark.parametrize(
+    "dotted, match",
+    [
+        ("extras.name", r"override 'extras.name': unknown section \[extras\]"),
+        ("flux.speed", r"override 'flux.speed': unknown key 'speed' in section \[flux\]"),
+        ("initial_a.a.b", r"override 'initial_a.a.b': unknown key 'a.b' in section \[initial_a\]"),
+    ],
+    ids=["unknown-section", "unknown-flux-key", "unknown-initial-key"],
+)
+def test_override_takes_the_key_test_of_file_lines(dotted, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config(MINIMAL, overrides=[(dotted, "1")])
+
+
+def test_malformed_section_header_rejected_with_line():
+    with pytest.raises(ConfigError, match=r"line 3: malformed section header '\[flux'"):
+        parse_config("kind = contraction_sweep\n\n[flux\nname = burgers\n")
+
+
+@pytest.mark.parametrize(
+    "flux_lines, match",
+    [
+        ("name = burgers\nfile = {table}", "'flux.file': only valid with name = tabulated"),
+        ("name = tabulated", "'flux.file': tabulated flux needs a file"),
+        ("name = tabulated\nfile = {missing}", "'flux.file': .*missing.txt"),
+    ],
+    ids=["file-without-tabulated", "tabulated-without-file", "unreadable-file"],
+)
+def test_tabulated_flux_needs_exactly_a_readable_file(tmp_path, flux_lines, match):
+    table = tmp_path / "flux.txt"
+    table.write_text("0 0\n0.5 0.125\n1 0.5\n")
+    lines = flux_lines.format(table=table, missing=tmp_path / "missing.txt")
+    with pytest.raises(ConfigError, match=match):
+        parse_config(f"kind = contraction_sweep\n[flux]\n{lines}\n")
+
+
+@pytest.mark.parametrize("name", ["linear(nan)", "linear(1e400)", "linear(-inf)"])
+def test_non_finite_linear_speed_rejected(name):
+    with pytest.raises(ConfigError, match="'flux.name': linear flux speed must be finite"):
+        parse_config(f"kind = contraction_sweep\n[flux]\nname = {name}\n")
+
+
+@pytest.mark.parametrize(
+    "keys, match",
+    [
+        ({"preset": "dirac(1, 2)"}, "dirac takes one position"),
+        ({"preset": "uniform(1, 0)"}, "uniform needs a < b"),
+        ({"preset": "uniform(0)"}, "uniform needs a < b"),
+        ({"preset": "two_atom(1)"}, "two_atom needs two positions"),
+        ({"preset": "spike(0)"}, "unknown preset 'spike'"),
+        ({"preset": "random(3)", "a": "1", "b": "1"}, "'initial_b': needs a < b"),
+        ({"preset": "random(3)", "atoms": ","}, "'initial_b.atoms': needs at least one site"),
+        ({"preset": "random(3)", "atoms": "0 nan"}, "'initial_b.atoms': expected finite"),
+    ],
+    ids=[
+        "dirac", "uniform", "uniform-one-arg", "two_atom", "unknown", "random-a-b",
+        "random-no-atoms", "random-nan-atom",
+    ],
+)
+def test_parse_config_makes_every_preset_check(monkeypatch, keys, match):
+    # the checks are parse_preset's own: no particles are built
+    monkeypatch.setattr(claw.config, "build_initial", None)
+    lines = "".join(f"{k} = {v}\n" for k, v in keys.items())
+    with pytest.raises(ConfigError, match=match):
+        parse_config(MINIMAL + "[initial_b]\n" + lines)
+    assert parse_config(MINIMAL).initial_b == {"preset": "random(8)"}
+
+
+def test_parse_preset_returns_the_checked_arguments():
+    assert parse_preset({"preset": "dirac(1.5)"}) == ("dirac", (1.5,))
+    assert parse_preset({"preset": "uniform(0, 2)"}) == ("uniform", (0.0, 2.0))
+    assert parse_preset({"preset": "two_atom(1, -1)"}) == ("two_atom", (1.0, -1.0))
+    assert parse_preset({"preset": "random(9)"}) == ("random", (9, -1.0, 1.0, (-0.5, 0.5)))
+    spec = {"preset": "random( 9 )", "a": "2", "b": "3", "atoms": "2.5, 2.75"}
+    assert parse_preset(spec) == ("random", (9, 2.0, 3.0, (2.5, 2.75)))
 
 
 def test_comments_and_blank_lines_ignored():

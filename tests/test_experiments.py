@@ -4,6 +4,7 @@ import io
 import numpy as np
 import pytest
 
+import claw.experiments
 from claw.config import parse_config
 from claw.experiments import ResultTable, emit_csv, run_experiment
 
@@ -51,6 +52,19 @@ class TestClassicalConstancy:
 
 
 class TestConvergenceStudy:
+    def test_shock_oracle_reads_the_parsed_dirac_position(self, monkeypatch):
+        # the oracle takes x0 from the preset's arguments; the datum itself
+        # is the only particle system built
+        built = []
+        real = claw.experiments.build_initial
+        monkeypatch.setattr(
+            claw.experiments, "build_initial", lambda *args: built.append(args) or real(*args)
+        )
+        table = run_experiment(make_cfg("convergence_study", "concave_quadratic", a="dirac(0.25)"))
+        assert [args[2] for args in built] == ["initial_a"]
+        shifted = run_experiment(make_cfg("convergence_study", "concave_quadratic", a="dirac(0)"))
+        assert table.column("l1_error") == pytest.approx(shifted.column("l1_error"), abs=1e-12)
+
     def test_shock_errors_reported_per_h(self):
         cfg = make_cfg(
             "convergence_study",
@@ -123,6 +137,11 @@ class TestResultTable:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             ResultTable(["a"], [[np.inf]])
+
+    def test_names_the_first_row_with_a_non_finite_entry(self):
+        rows = [[1.0, 2.0], [3.0, 4.0], [5.0, np.nan], [np.inf, 6.0]]
+        with pytest.raises(ValueError, match=r"non-finite entry in row \[5.0, nan\]"):
+            ResultTable(["a", "b"], rows)
 
 
 class TestEmitCsv:

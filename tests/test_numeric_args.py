@@ -1,0 +1,106 @@
+"""Every public numeric argument goes through one rule: a non-finite or
+out-of-range value raises a ValueError that names the argument, before any
+arithmetic can warn."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from claw.fluxes import make_builtin
+from claw.measures import ParticleQuantiles, StepCdf, generalized_inverse, moment, tail_moment
+from claw.scheme import (
+    classical_characteristics,
+    decompose_time,
+    exact_rarefaction_cdf,
+    exact_shock_cdf,
+    sh_trajectory,
+    th_step,
+    transport,
+)
+from claw.viscous import SmoothedCdf, heat_resample, viscous_step, viscous_trajectory
+from claw.wasserstein import (
+    quantile_staircase,
+    wp_cdf,
+    wp_from_staircases,
+    wp_particles,
+    wp_trajectory,
+)
+
+PQ = ParticleQuantiles([-0.5, 0.0, 0.0, 0.75])
+BURGERS = make_builtin("burgers")
+STATES = sh_trajectory(PQ, BURGERS, 0.1, [0.0, 0.05])
+BELOW_ZERO = -np.nextafter(0.0, 1.0)
+BELOW_ONE = np.nextafter(1.0, 0.0)
+
+# argument -> (call with the argument set to v, name in the message, the
+# nearest value below the allowed range; None where only finiteness counts)
+CASES = {
+    "transport h": (lambda v: transport(PQ, BURGERS, v), "step size", BELOW_ZERO),
+    "th_step h": (lambda v: th_step(PQ, BURGERS, v), "step size", BELOW_ZERO),
+    "decompose_time h": (lambda v: decompose_time(1.0, v), "step size", 0.0),
+    "viscous_step h": (lambda v: viscous_step(PQ, BURGERS, v, 0.1), "step size", 0.0),
+    "viscous_trajectory h": (
+        lambda v: viscous_trajectory(PQ, BURGERS, v, 0.1, [0.0, 0.1]), "step size", 0.0
+    ),
+    "decompose_time t": (lambda v: decompose_time(v, 0.1), "time", BELOW_ZERO),
+    "classical_characteristics t": (
+        lambda v: classical_characteristics(PQ, make_builtin("linear(1)"), v), "time", BELOW_ZERO
+    ),
+    "exact_shock_cdf t": (
+        lambda v: exact_shock_cdf(make_builtin("concave_quadratic"), v), "time", BELOW_ZERO
+    ),
+    "exact_rarefaction_cdf t": (lambda v: exact_rarefaction_cdf(v, 8), "time", BELOW_ZERO),
+    "SmoothedCdf sigma": (lambda v: SmoothedCdf(PQ, v), "sigma", 0.0),
+    "heat_resample sigma": (lambda v: heat_resample(PQ, v), "sigma", 0.0),
+    "viscous_step nu": (lambda v: viscous_step(PQ, BURGERS, 0.1, v), "viscosity", 0.0),
+    "viscous_trajectory nu": (
+        lambda v: viscous_trajectory(PQ, BURGERS, 0.1, v, [0.0, 0.1]), "viscosity", 0.0
+    ),
+    "moment p": (lambda v: moment(PQ, v), "order", BELOW_ONE),
+    "tail_moment p": (lambda v: tail_moment(PQ, v, 0.5), "order", BELOW_ONE),
+    "tail_moment r": (lambda v: tail_moment(PQ, 2.0, v), "radius", BELOW_ZERO),
+    "wp_particles p": (lambda v: wp_particles(PQ, PQ, v), "order", BELOW_ONE),
+    "wp_cdf p": (
+        lambda v: wp_cdf(StepCdf([0.0], [1.0]), StepCdf([1.0], [1.0]), v), "order", BELOW_ONE
+    ),
+    "wp_from_staircases p": (
+        lambda v: wp_from_staircases(quantile_staircase(PQ), quantile_staircase(PQ), [1.0, v]),
+        "order",
+        BELOW_ONE,
+    ),
+    "wp_trajectory p": (lambda v: wp_trajectory(STATES, STATES, [v]), "order", BELOW_ONE),
+    "make_builtin linear speed": (lambda v: make_builtin("linear", c=v), "speed", None),
+}
+
+
+@pytest.mark.parametrize(
+    "arg, value",
+    [
+        pytest.param(arg, value, id=f"{arg}={value}")
+        for arg, (_, _, below) in CASES.items()
+        for value in (np.nan, np.inf, -np.inf, below)
+        if value is not None
+    ],
+)
+def test_bad_numeric_argument_is_named(arg, value):
+    call, name, _ = CASES[arg]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{name}.* must be finite and .*got {value}"):
+            call(value)
+
+
+def test_values_that_slipped_through_are_rejected():
+    with pytest.raises(ValueError, match="tail radius"):
+        tail_moment(PQ, 2.0, np.nan)  # returned 0.0
+    with pytest.raises(ValueError, match="quantile argument"):
+        generalized_inverse(StepCdf([0.0, 1.0], [0.5, 1.0]), np.nan)  # raised IndexError
+    with pytest.raises(ValueError, match="step size"):
+        viscous_trajectory(PQ, BURGERS, -0.1, 0.1, [0.0])  # math domain error
+
+
+def test_inline_linear_speed_is_checked():
+    for text in ("linear(nan)", "linear(1e400)", "linear(-inf)"):
+        with pytest.raises(ValueError, match="linear flux speed"):
+            make_builtin(text)

@@ -1,5 +1,6 @@
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -291,6 +292,21 @@ class TestCdfTable:
         assert np.max(np.abs(f - np.where(z <= 0.0, ndtr(z), 1.0 - ndtr(-z)))) <= allowance
         assert np.max(np.abs(sigma * dens - phi)) <= allowance
         assert np.max(np.abs(sigma**2 * curv + z * phi)) <= allowance
+
+    @pytest.mark.parametrize(
+        "data, sigma", [("burgers random(30001)", 1.0), ("two clusters", 0.141)]
+    )
+    def test_window_sums_are_exact_near_both_ends(self, random_pq, data, sigma):
+        # the exact solver certifies with these sums; summed in sequence
+        # they were up to 7.1e-15 (near F = 1) and 3.9e-15 (near F = 1/2)
+        # off at these probes; the reference sums every center's term exactly
+        if data == "two clusters":
+            c = two_clusters().positions
+        else:
+            c = th_step(random_pq(30001, n=1024), make_builtin("burgers"), 0.1).positions
+        x = np.linspace(c[0] - 10.0 * sigma, c[-1] + 10.0 * sigma, 201)
+        exact = [float(mpmath.fsum(ndtr((xi - c) / sigma)) / c.size) for xi in x]
+        assert np.max(np.abs(viscous_mod._ragged_window_eval(c, sigma, x) - exact)) <= 1e-15
 
     @pytest.mark.parametrize("sigma", BENCH_SIGMAS)
     def test_benchmark_shapes_never_reach_the_solver(self, monkeypatch, random_pq, sigma):
