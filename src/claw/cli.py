@@ -74,11 +74,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
-            emit_csv(table, fh)
-    else:
-        emit_csv(table, sys.stdout)
+    try:
+        if cfg.output:
+            with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
+                emit_csv(table, fh)
+        else:
+            emit_csv(table, sys.stdout)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fluxes import FluxModel
-from .measures import as_step_cdf
+from .measures import _checked, _checked_count, as_step_cdf
 
 __all__ = ["BumpFamily", "entropy_residuals", "entropy_residual"]
 
@@ -56,9 +56,7 @@ class BumpFamily:
 
     def __post_init__(self):
         for name in ("n_centers_t", "n_centers_x"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"BumpFamily.{name} must be a positive int, got {value!r}")
+            _checked_count(getattr(self, name), f"BumpFamily.{name}")
         for name, top in (("radii_t", 1.0), ("radii_x", 0.5)):
             radii = np.asarray(getattr(self, name), dtype=float)
             if radii.ndim != 1 or radii.size == 0 or not np.all((radii > 0.0) & (radii <= top)):
@@ -66,8 +64,7 @@ class BumpFamily:
                     f"BumpFamily.{name} must be a non-empty sequence of values in (0, {top:g}],"
                     f" got {getattr(self, name)!r}"
                 )
-        if not (np.isfinite(self.pad_x) and self.pad_x >= 0.0):
-            raise ValueError(f"BumpFamily.pad_x must be finite and >= 0, got {self.pad_x!r}")
+        _checked(self.pad_x, "BumpFamily.pad_x")
 
 
 _ANTI_EDGE = 1.0 - 1.0 + 0.6 - 1.0 / 7.0  # antiderivative of the bump at s=1

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .measures import _checked_count
+
 __all__ = ["Lcg64", "lcg_floats"]
 
 _MULT = 6364136223846793005
@@ -59,8 +61,7 @@ def _doubled(mult: int, inc: int) -> tuple[int, int]:
 
 def lcg_floats(seed: int, count: int) -> np.ndarray:
     """The next ``count`` values of ``Lcg64(seed).next_float()``, as an array."""
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
+    count = _checked_count(count, "count", least=0)
     # the first block one step at a time: for a few states numpy's per-call
     # cost exceeds the arithmetic; (mult, inc) then maps x_k to x_{k+m}
     rng = Lcg64(seed)

@@ -39,11 +39,21 @@ __all__ = [
 def _checked(value, what: str, least: float = 0.0, strict: bool = False) -> float:
     """``value`` as a float, once it is finite and at least ``least`` (above
     it if ``strict``): the one range check of every public numeric argument."""
-    v = float(value)
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
     if not (np.isfinite(v) and (v > least if strict else v >= least)):
         rule = f"{'greater than' if strict else 'at least'} {least:g}"
         raise ValueError(f"{what} must be finite and {rule}, got {v}")
     return v
+
+
+def _checked_count(value, what: str, least: int = 1) -> int:
+    """``value`` as an int, once it is an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{what} must be an integer of at least {least}, got {value!r}")
+    return int(value)
 
 
 def _frozen_array(x) -> np.ndarray:
@@ -57,8 +67,7 @@ def _frozen_array(x) -> np.ndarray:
 
 def midpoint_nodes(n: int) -> np.ndarray:
     """Quantile nodes w_i = (i - 1/2)/n for i = 1..n."""
-    if n < 1:
-        raise ValueError(f"need at least one node, got n={n}")
+    n = _checked_count(n, "node count n")
     return (np.arange(n) + 0.5) / n
 
 

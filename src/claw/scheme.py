@@ -20,6 +20,7 @@ from .measures import (
     ParticleQuantiles,
     StepCdf,
     _checked,
+    _checked_count,
     midpoint_nodes,
 )
 
@@ -231,8 +232,7 @@ def exact_rarefaction_cdf(t: float, resolution: int = 4096) -> StepCdf:
     uniform[0,1] initial profile, i.e. the uniform law on [0, 1+t],
     discretized at midpoint atoms of the given resolution."""
     t = _checked(t, "time t")
-    if resolution < 1:
-        raise ValueError("resolution must be positive")
+    resolution = _checked_count(resolution, "resolution")
     width = 1.0 + t
     breakpoints = midpoint_nodes(resolution) * width
     values = np.arange(1, resolution + 1) / resolution

@@ -154,15 +154,15 @@ def _check_heat_shift():
 
 
 def _check_heat_split():
-    # two clusters 100 sigma apart are resampled separately; the result
-    # must match the exact quantile of the whole mixture
-    sigma, n = 0.05, 128
-    left = _random_pq(410, n=n // 2).positions  # within [-1, 1]
-    right = _random_pq(411, n=n // 2).positions + 2.0 + 100 * sigma
-    pq = ParticleQuantiles(np.concatenate([left, right]))
+    # two tabled clusters 100 sigma apart and a lone atom 30 sigma right of
+    # them, left to the exact solver, must give the mixture's exact quantiles
+    sigma, n = 0.05, 129
+    left = _random_pq(410, n=64).positions  # within [-1, 1]
+    right = _random_pq(411, n=64).positions + 2.0 + 100 * sigma  # within [6, 8]
+    pq = ParticleQuantiles(np.concatenate([left, right, [8.0 + 30 * sigma]]))
     out = heat_resample(pq, sigma)
     sc = SmoothedCdf(pq, sigma)
-    for i in (0, n // 2 - 1, n // 2, n - 1):
+    for i in (0, 63, 64, 127, 128):
         if abs(out.positions[i] - smoothed_quantile(sc, (i + 0.5) / n)) > 2e-10:
             return f"split resample misses the exact quantile at node {i}"
     return None

@@ -9,9 +9,10 @@ The smoothed CDF is the mixture F(x) = (1/N) sum_j Phi((x - c_j)/sigma).
 It is evaluated exactly by summing only the centers within 9 sigma of x,
 right of the median as 1 - F, and counting farther centers as full mass or
 none (truncation error below 2.3e-19); the same terms give the density F'.
-Two certified routes invert it.  The exact solver runs a bracketed Newton
-iteration on F and F' and returns x only once F(x - tol/2) <= w <= F(x +
-tol/2) or its bracket is narrower than tol; a node costs a few window sums.
+Tables propose and one exact solve finishes.  The exact solver runs a
+Newton iteration on F and F' and returns x once F(x - tol/2) <= w <=
+F(x + tol/2) or its bracket is narrower than tol.  Its one bracket, 10 sigma
++ tol beyond the outermost centers, holds by construction (``_REACH_SD``).
 
 The CDF table holds F, F' and F'' on a uniform grid of 32 cells per sigma.
 Each atom is spread onto its 8 nearest cells with the degree-7 cardinal
@@ -32,8 +33,7 @@ is hermite_err = (delta^6/46080) sup|phi^(5)|/sigma^6 = 2.31/(46080 * 32^6)
 Hermite basis, no longer negligible beside it.  min_slope, the smaller
 density at the cell's ends less (delta^2/8) sup|F'''| and the table's
 density error, bounds the density in the cell from below.  Nodes in
-near-flat cells, where the certificate fails, go to the exact solver from
-the table's value.
+near-flat cells, where the certificate fails, are left uncertified.
 
 ``heat_resample`` first cuts the sorted centers wherever a gap exceeds
 20 sigma.  Within 10 sigma of a cluster every other center lies more than
@@ -41,12 +41,13 @@ the table's value.
 the cluster and F_c the mixture of its own n_c centers.  The quantile at a
 node lies within 9 sigma of the center of the same rank, so the global
 node (L + j + 1/2)/N is exactly the cluster's node (j + 1/2)/n_c and each
-cluster is resampled on its own.  Clusters of at least 48 particles are
-tabled; with its padding a table spans at most 20*n_c sigma, or 640*n_c
-cells, so its cost depends on n_c and not on the span of the data.  The
-nodes of smaller clusters, and of clusters whose table would span more
-than ``_MAX_TABLE_SD`` = 21845 sigma (n_c above about 1092), go to the
-exact solver in one call, each started at its same-rank center.
+cluster's table is inverted on its own.  Clusters of at least 48 particles
+are tabled; with its padding a table spans at most 20*n_c sigma, or 640*n_c
+cells, so its cost depends on n_c and not on the span of the data.  Smaller
+clusters, and those whose table would span more than ``_MAX_TABLE_SD`` =
+21845 sigma (n_c above about 1092), get none.  Every node starts at its
+same-rank center, a table overwrites its cluster's nodes, and one exact
+solve over all the centers finishes every node that no table certified.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import next_fast_len, rfft, irfft
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from .fluxes import FluxModel
 from .measures import ParticleQuantiles, _check_quantile_arg, _checked, midpoint_nodes
@@ -74,11 +75,15 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 MAX_SOLVE_ITER = 200
-MAX_BRACKET_WIDENINGS = 128
 
 # exact-evaluation window, in standard deviations; truncation error in the
 # CDF is below 2.3e-19 in absolute value
 _WINDOW_SD = 9.0
+# reach beyond the outermost centers, in standard deviations, of the
+# solver's bracket, the tol check and a CDF table's padding.  Every center
+# is more than 9 sigma inside the bracket, so F is exactly 0 and 1 at its
+# ends; a tol of two float spacings at the reach covers their rounding
+_REACH_SD = 10.0
 # CDF table resolution, in cells per sigma
 _CELLS_PER_SD = 32
 # clusters whose table, padding included, would span more than this many
@@ -101,10 +106,10 @@ _TABLE_BASIS = 1.01
 _BAND_SD = math.sqrt(-2.0 * math.log(math.ulp(0.0)))
 # gaps wider than this many standard deviations split the centers into
 # clusters that are resampled independently: any point within a table's
-# 10-sigma padding of one cluster is then more than 10 sigma from every
-# other cluster, outside the 9-sigma evaluation window
-_GAP_SD = 20.0
-# clusters with fewer particles go to the exact solver rather than a table
+# padding of one cluster is then more than _REACH_SD from every other
+# cluster, outside the evaluation window
+_GAP_SD = 2.0 * _REACH_SD
+# clusters with fewer particles get no table
 _MIN_GRID_N = 48
 # safeguarded Newton iteration on the quintic cells: stop once no step
 # moves by more than this fraction of a cell
@@ -188,38 +193,21 @@ def smoothed_cdf_eval(sc: SmoothedCdf, x):
 
 
 def smoothed_quantile(sc: SmoothedCdf, w: float, tol: float = DEFAULT_TOL) -> float:
-    """The unique x with F(x) = w, within tol/2, by the exact solver from a
-    bracket widened until it holds the level.  A tol below twice the float
-    spacing at the bracket's ends is rejected."""
-    _check_quantile_arg(w)
+    """The unique x with F(x) = w, within tol/2, by the exact solver started
+    at the center of the same rank.  A tol below twice the float spacing at
+    max|x_j| + 10 sigma is rejected."""
+    w = np.atleast_1d(_check_quantile_arg(w))
     c = sc.centers.positions
-    sigma = sc.sigma
-    z = abs(float(ndtri(w)))
-    lo = c[0] - sigma * z - 1.0
-    hi = c[-1] + sigma * z + 1.0
-    widen = hi - lo
-    for _ in range(MAX_BRACKET_WIDENINGS):
-        f_lo, f_hi = _ragged_window_eval(c, sigma, np.array([lo, hi]))
-        if f_lo < w <= f_hi:
-            break
-        lo -= widen
-        hi += widen
-        widen *= 2.0
-    else:
-        raise RuntimeError(
-            "failed to bracket the smoothed quantile after "
-            f"{MAX_BRACKET_WIDENINGS} widenings; check inputs for NaN"
-        )
-    _check_tol(tol, max(abs(lo), abs(hi)))
-    # the center of the same rank lies inside every bracket tried above
-    start = c[min(int(w * c.size), c.size - 1)]
-    return float(_solve_nodes(c, sigma, *map(np.atleast_1d, (w, start, lo, hi)), tol)[0])
+    _check_tol(tol, c, sc.sigma)
+    start = c[min(int(w[0] * c.size), c.size - 1)]
+    return float(_solve_nodes(c, sc.sigma, w, np.array([start]), tol)[0])
 
 
-def _check_tol(tol: float, reach: float) -> None:
-    """Reject a tol that cannot be certified at |x| <= reach.  Below two
-    float spacings there the probes x -+ tol/2 round onto x or its
-    neighbours, and the solver runs to its pass cap uncertified."""
+def _check_tol(tol: float, centers, sigma: float) -> None:
+    """Reject a tol below two float spacings at the solver's reach, max|x_j|
+    + 10 sigma: there the probes x -+ tol/2 round onto x or its neighbours,
+    and the solver would run to its pass cap uncertified."""
+    reach = max(abs(centers[0]), abs(centers[-1])) + _REACH_SD * sigma
     least = float(2.0 * np.spacing(reach))
     if not (tol >= least):
         raise ValueError(
@@ -228,14 +216,21 @@ def _check_tol(tol: float, reach: float) -> None:
         )
 
 
-def _solve_nodes(centers, sigma, targets, x, lo, hi, tol) -> np.ndarray:
-    """Roots of F = targets within tol/2 from starts x in brackets with
-    F(lo) <= w < F(hi).  A Newton pass takes F and F' at x from one window
+def _bracket(centers, sigma: float, tol: float) -> tuple[float, float]:
+    """The solver's bracket, where F is exactly 0 and 1 (see ``_REACH_SD``)."""
+    reach = _REACH_SD * sigma + tol
+    return centers[0] - reach, centers[-1] + reach
+
+
+def _solve_nodes(centers, sigma, targets, x, tol) -> np.ndarray:
+    """Roots of F = targets within tol/2 from starts x, each in the bracket
+    of ``_bracket``.  A Newton pass takes F and F' at x from one window
     sum; after a step of at most tol/2 a certifying pass ends the node if
     F(x - tol/2) <= w <= F(x + tol/2).  Every probe moves a bracket end; a
     bracket narrower than tol ends the node at its midpoint, which also
     replaces a failed certificate and a Newton step leaving the bracket."""
-    x, lo, hi = x.copy(), lo.copy(), hi.copy()
+    left, right = _bracket(centers, sigma, tol)
+    x, lo, hi = x.copy(), np.full(targets.size, left), np.full(targets.size, right)
     due = np.zeros(targets.size, dtype=bool)
     half = 0.5 * tol
     act = np.arange(targets.size)
@@ -276,8 +271,8 @@ def _grid_cdf_table(centers, sigma):
     within _TABLE_ERR."""
     n = centers.size
     delta = sigma / _CELLS_PER_SD
-    x0 = centers[0] - 10.0 * sigma
-    g0 = int(math.ceil((centers[-1] + 10.0 * sigma - x0) / delta)) + 2
+    x0 = centers[0] - _REACH_SD * sigma
+    g0 = int(math.ceil((centers[-1] + _REACH_SD * sigma - x0) / delta)) + 2
     m = next_fast_len(g0)
 
     # B-spline weights of each atom on its 8 nearest cells; the offsets are
@@ -312,7 +307,9 @@ def _grid_cdf_table(centers, sigma):
     return x0, delta, f_grid, dens, curv
 
 
-def _resample_grid(centers, sigma, targets, tol) -> np.ndarray:
+def _resample_grid(centers, sigma, targets, tol):
+    """(positions, certified): the table's inverse at ``targets`` and which
+    of its nodes the certificate proves within tol/2."""
     x0, delta, f_grid, dens, curv = _grid_cdf_table(centers, sigma)
     g0 = f_grid.size
 
@@ -361,14 +358,7 @@ def _resample_grid(centers, sigma, targets, tol) -> np.ndarray:
     table_err = _TABLE_BASIS * _TABLE_ERR
     slack = (_SLOPE_SLACK / float(_CELLS_PER_SD) ** 2 + _TABLE_ERR) / sigma
     min_slope = np.minimum(dens[i0], dens[i1]) - slack
-    bad = np.nonzero(min_slope * tol < 2.0 * (hermite_err + table_err))[0]
-    if bad.size:
-        # near-flat cells: the exact solver from the table's value, within
-        # the cell and its neighbours
-        lo = x0 + delta * np.maximum(i0[bad] - 1, 0)
-        hi = x0 + delta * np.minimum(i1[bad] + 1, g0 - 1)
-        out[bad] = _solve_nodes(centers, sigma, targets[bad], out[bad], lo, hi, tol)
-    return out
+    return out, min_slope * tol >= 2.0 * (hermite_err + table_err)
 
 
 def _resample_clusters(centers, sigma, targets, tol) -> np.ndarray:
@@ -380,18 +370,17 @@ def _resample_clusters(centers, sigma, targets, tol) -> np.ndarray:
     ends = np.concatenate((cuts, [n]))
     sizes = ends - starts
     spans = centers[ends - 1] - centers[starts]
-    tabled = (sizes >= _MIN_GRID_N) & (spans + 20.0 * sigma <= _MAX_TABLE_SD * sigma)
+    tabled = (sizes >= _MIN_GRID_N) & (spans + 2.0 * _REACH_SD * sigma <= _MAX_TABLE_SD * sigma)
 
-    out = np.empty(n)
+    # every node starts at its same-rank center, within 9 sigma of its
+    # quantile; a table overwrites its cluster's nodes with its proposals
+    out = centers.copy()
+    certified = np.zeros(n, dtype=bool)
     for s, e in zip(starts[tabled], ends[tabled]):
-        out[s:e] = _resample_grid(centers[s:e], sigma, midpoint_nodes(e - s), tol)
-    rest = np.flatnonzero(np.repeat(~tabled, sizes))
+        out[s:e], certified[s:e] = _resample_grid(centers[s:e], sigma, midpoint_nodes(e - s), tol)
+    rest = np.flatnonzero(~certified)
     if rest.size:
-        # the quantile at node (i - 1/2)/N always lies within 9 sigma of the
-        # i-th sorted center, so these brackets are guaranteed
-        half = _WINDOW_SD * sigma + tol
-        near = centers[rest]
-        out[rest] = _solve_nodes(centers, sigma, targets[rest], near, near - half, near + half, tol)
+        out[rest] = _solve_nodes(centers, sigma, targets[rest], out[rest], tol)
     return out
 
 
@@ -400,16 +389,15 @@ def heat_resample(
 ) -> ParticleQuantiles:
     """Quantiles of the Gaussian-smoothed particle CDF at the midpoint nodes,
     each within ``tol`` of the exact one.  A tol below twice the float
-    spacing at the largest |x| a bracket can reach, max|x_j| + 10 sigma, is
-    rejected.
+    spacing at the solver's reach, max|x_j| + 10 sigma, is rejected.
 
-    Clusters of at least 48 particles whose table fits are inverted through
-    the certified CDF table, all other nodes by the certified exact solver
-    (see the module docstring).
+    The tables of clusters of at least 48 particles propose their nodes;
+    one exact solve, started at the proposal or at the same-rank center,
+    finishes every node no table certified (see the module docstring).
     """
     sigma = _checked(sigma, "sigma", strict=True)
     centers = pq.positions
-    _check_tol(tol, max(abs(centers[0]), abs(centers[-1])) + 10.0 * sigma)
+    _check_tol(tol, centers, sigma)
     pos = _resample_clusters(centers, sigma, midpoint_nodes(pq.n), tol)
     return ParticleQuantiles(np.sort(pos, kind="stable"))
 

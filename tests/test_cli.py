@@ -75,6 +75,15 @@ def test_missing_file_exits_one(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_unwritable_output_exits_one(config_file, tmp_path, capsys):
+    # a missing directory raised FileNotFoundError out of main
+    out_path = tmp_path / "no_such_dir" / "result.csv"
+    assert main(["run", str(config_file), "--set", f"output={out_path}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output:") and "no_such_dir" in err
+    assert not out_path.exists()
+
+
 def test_malformed_override_exits_one(config_file, capsys):
     assert main(["run", str(config_file), "--set", "n_particles"]) == 1
 

@@ -110,6 +110,7 @@ def test_levels_checked_before_any_geometry(controls, monkeypatch, ks):
         ("radii_t", (float("nan"),)),
         ("pad_x", float("nan")),
         ("pad_x", -0.1),
+        ("pad_x", None),
     ],
 )
 def test_bad_bump_family_rejected(field, value):

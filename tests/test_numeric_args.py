@@ -7,8 +7,17 @@ import warnings
 import numpy as np
 import pytest
 
+from claw.entropy import BumpFamily
 from claw.fluxes import make_builtin
-from claw.measures import ParticleQuantiles, StepCdf, generalized_inverse, moment, tail_moment
+from claw.lcg import lcg_floats
+from claw.measures import (
+    ParticleQuantiles,
+    StepCdf,
+    generalized_inverse,
+    midpoint_nodes,
+    moment,
+    tail_moment,
+)
 from claw.scheme import (
     classical_characteristics,
     decompose_time,
@@ -98,9 +107,49 @@ def test_values_that_slipped_through_are_rejected():
         generalized_inverse(StepCdf([0.0, 1.0], [0.5, 1.0]), np.nan)  # raised IndexError
     with pytest.raises(ValueError, match="step size"):
         viscous_trajectory(PQ, BURGERS, -0.1, 0.1, [0.0])  # math domain error
+    with pytest.raises(ValueError, match="sigma must be a number, got None"):
+        heat_resample(PQ, None)  # raised TypeError
 
 
 def test_inline_linear_speed_is_checked():
     for text in ("linear(nan)", "linear(1e400)", "linear(-inf)"):
         with pytest.raises(ValueError, match="linear flux speed"):
             make_builtin(text)
+
+
+# count argument -> (call with the count set to v, name in the message, the
+# least count allowed)
+COUNTS = {
+    "midpoint_nodes n": (midpoint_nodes, "node count n", 1),
+    "exact_rarefaction_cdf resolution": (
+        lambda v: exact_rarefaction_cdf(1.0, resolution=v), "resolution", 1
+    ),
+    "lcg_floats count": (lambda v: lcg_floats(0, v), "count", 0),
+    "BumpFamily n_centers_t": (lambda v: BumpFamily(n_centers_t=v), "BumpFamily.n_centers_t", 1),
+    "BumpFamily n_centers_x": (lambda v: BumpFamily(n_centers_x=v), "BumpFamily.n_centers_x", 1),
+}
+
+
+@pytest.mark.parametrize(
+    "arg, value",
+    [
+        pytest.param(arg, value, id=f"{arg}={value!r}")
+        for arg, (_, _, least) in COUNTS.items()
+        for value in (2.5, 3.0, np.nan, True, "3", least - 1, np.int64(least - 1))
+    ],
+)
+def test_bad_count_is_named(arg, value):
+    # midpoint_nodes(2.5) gave [0.2, 0.6, 1.0], a node at level 1; a NaN
+    # resolution failed inside np.arange, and a float count inside numpy
+    call, name, least = COUNTS[arg]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{name} must be an integer of at least {least}"):
+            call(value)
+
+
+@pytest.mark.parametrize("arg", COUNTS)
+def test_numpy_integer_counts_are_accepted(arg):
+    # the heat step passes cluster sizes as np.int64
+    call, _, least = COUNTS[arg]
+    call(np.int64(least + 2))

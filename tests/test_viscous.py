@@ -36,14 +36,12 @@ def least_tol(pq, sigma):
 
 def exact_nodes(pq, sigma, nodes=None, tol=1e-13):
     """Reference quantiles at midpoint nodes: the exact solver at a tight
-    tolerance, no tighter than heat_resample accepts, bracketed by the
+    tolerance, no tighter than heat_resample accepts, started at the
     same-rank centers."""
     tol = max(tol, least_tol(pq, sigma))
     nodes = np.arange(pq.n) if nodes is None else nodes
-    near = pq.positions[nodes]
-    half = viscous_mod._WINDOW_SD * sigma + tol
     targets = midpoint_nodes(pq.n)[nodes]
-    return viscous_mod._solve_nodes(pq.positions, sigma, targets, near, near - half, near + half, tol)
+    return viscous_mod._solve_nodes(pq.positions, sigma, targets, pq.positions[nodes], tol)
 
 
 def full_sum_cdf(centers, sigma, x):
@@ -108,13 +106,16 @@ class TestSmoothedQuantile:
         with pytest.raises(ValueError):
             smoothed_quantile(SmoothedCdf(dirac(2), 1.0), 1.0)
 
-    def test_nan_input_reported(self):
+    def test_nan_input_reported(self, monkeypatch):
         # NaN cannot enter through validation, so splice it in behind the
-        # frozen dataclass to exercise the bracket-failure guard
+        # frozen dataclass: the tol check, whose reach is then NaN, must
+        # reject it before any solve
         pq = dirac(2)
         object.__setattr__(pq, "positions", np.array([np.nan, np.nan]))
-        with pytest.raises(RuntimeError, match="NaN"):
+        solves = counting(monkeypatch, "_solve_nodes")
+        with pytest.raises(ValueError, match="tolerance must be at least nan"):
             smoothed_quantile(SmoothedCdf(pq, 1.0), 0.5)
+        assert solves == []
 
 
 class TestHeatResample:
@@ -327,6 +328,23 @@ class TestCdfTable:
         assert len(solves) == 1 and 0.5 / n in solves[0][2]
         assert np.max(np.abs(out.positions - exact_nodes(pq, sigma))) <= 2e-10
 
+    def test_near_flat_nodes_of_all_clusters_share_one_solve(self, monkeypatch):
+        # six tabled clusters, each with an atom 15 sigma left of the rest,
+        # whose node (density phi(0)/N) the table cannot certify at this tol;
+        # the six nodes are finished together, and every node is certified
+        n_c, sigma, tol = 64, 1.0, 1e-11
+        cluster = np.concatenate([[-15.0], np.linspace(0.0, 2.0, n_c - 1)])
+        pq = ParticleQuantiles(np.concatenate([100.0 * k + cluster for k in range(6)]))
+        tables = counting(monkeypatch, "_grid_cdf_table")
+        solves = counting(monkeypatch, "_solve_nodes")
+        x = heat_resample(pq, sigma, tol=tol).positions
+        assert (len(tables), len(solves)) == (6, 1)
+        w = midpoint_nodes(pq.n)
+        assert set(w[::n_c]) <= set(solves[0][2])
+        ulps = 8 * np.finfo(float).eps
+        assert np.all(full_sum_cdf(pq.positions, sigma, x - 0.5 * tol) <= w + ulps)
+        assert np.all(w - ulps <= full_sum_cdf(pq.positions, sigma, x + 0.5 * tol))
+
 
 def test_error_bound_constants_bound_their_suprema():
     # the certificate's constants stand for Gaussian suprema: sup|phi^(5)|
@@ -367,7 +385,7 @@ def test_split_grid_and_bisect_agree(data):
 @st.composite
 def solver_problems(draw):
     """Centers with near-flat gaps, levels anywhere in (0, 1), and starts
-    anywhere in the guaranteed bracket about the same-rank center."""
+    anywhere within 9 sigma + tol of the same-rank center."""
     sigma = draw(st.sampled_from([0.003, 0.05, 0.7, 3.0]))
     tol = draw(st.sampled_from([1e-10, 1e-8, 1e-6]))
     gaps = draw(st.lists(st.sampled_from([0.0, 0.5, 3.0, 10.0, 15.0, 19.9, 30.0]), max_size=6))
@@ -384,20 +402,33 @@ def solver_problems(draw):
 @given(solver_problems())
 def test_solver_answers_are_certified(problem):
     centers, sigma, tol, w, starts = problem
-    # the root lies within 9 sigma of the same-rank center; one rank of
-    # slack on each side absorbs the rounding of w*n
     rank = np.minimum((w * centers.size).astype(int), centers.size - 1)
-    half = viscous_mod._WINDOW_SD * sigma + tol
-    lo = centers[np.maximum(rank - 1, 0)] - half
-    hi = centers[np.minimum(rank + 1, centers.size - 1)] + half
-    x0 = centers[rank] + starts * half
-    x = viscous_mod._solve_nodes(centers, sigma, w, x0, lo, hi, tol)
+    x0 = centers[rank] + starts * (viscous_mod._WINDOW_SD * sigma + tol)
+    x = viscous_mod._solve_nodes(centers, sigma, w, x0, tol)
     # the windowed and the full sum round differently by a few ulps, which
     # decides nothing except on a plateau between far atoms, where F stays
     # within rounding of a level such as w = 1/2 over many tol
     ulps = 8 * np.finfo(float).eps
     assert np.all(full_sum_cdf(centers, sigma, x - 0.5 * tol) <= w + ulps)
     assert np.all(w - ulps <= full_sum_cdf(centers, sigma, x + 0.5 * tol))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.floats(-1e8, 1e8),
+    offsets=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=12),
+    log_sigma=st.floats(-300.0, 5.0),
+)
+def test_bracket_ends_are_exactly_zero_and_one(base, offsets, log_sigma):
+    # the solver's one bracket holds by construction: the windowed F is
+    # exactly 0 at its left end and exactly 1 at its right end, at the
+    # least tol accepted, from sigma = 1e-300 to 1e5 and |x| up to 1e8
+    sigma = 10.0**log_sigma
+    pq = ParticleQuantiles(np.sort(np.clip(base + sigma * np.array(offsets), -1e8, 1e8)))
+    tol = least_tol(pq, sigma)
+    viscous_mod._check_tol(tol, pq.positions, sigma)
+    ends = np.array(viscous_mod._bracket(pq.positions, sigma, tol))
+    assert viscous_mod._ragged_window_eval(pq.positions, sigma, ends).tolist() == [0.0, 1.0]
 
 
 def named_least_tol(call):
@@ -426,6 +457,7 @@ def test_tol_below_the_float_spacing_is_rejected(random_pq):
     sc = SmoothedCdf(pq, sigma)
     for level in (0.01, 0.3, 0.5, 0.97):
         tol = named_least_tol(lambda t: smoothed_quantile(sc, level, tol=t))
+        assert tol == least_tol(pq, sigma)
         with pytest.raises(ValueError, match="at least"):
             smoothed_quantile(sc, level, tol=np.nextafter(tol, 0.0))
         x = np.array([smoothed_quantile(sc, level, tol=tol)])
