@@ -11,10 +11,12 @@ bump phi is
 which is nonpositive for an entropy-admissible trajectory.  States are
 piecewise constant in x, so the space integrals are evaluated exactly from
 the bump's closed-form antiderivative; time is integrated by the trapezoid
-rule over the given snapshots.  This is a necessary-condition screen
-(a clearly positive residual certifies inadmissibility), not a proof of
-admissibility; its noise floor shrinks with the particle count and the
-snapshot spacing of the supplied states.
+rule over the given snapshots.  States are read as quantile staircases;
+tied positions give pieces of zero width, which add exactly 0, so the
+result is that of the deduplicated CDFs bit for bit.  This is a
+necessary-condition screen (a clearly positive residual certifies
+inadmissibility), not a proof of admissibility; its noise floor shrinks
+with the particle count and the snapshot spacing of the supplied states.
 
 The space integrals are computed in one pass over the x-bumps, for every
 level at once.  Each snapshot's levels are nondecreasing in x, so for a
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fluxes import FluxModel
-from .measures import _checked, _checked_count, as_step_cdf
+from .measures import _checked, _checked_count, quantile_staircase
 
 __all__ = ["BumpFamily", "entropy_residuals", "entropy_residual"]
 
@@ -98,21 +100,22 @@ def _checked_levels(ks) -> np.ndarray:
 
 
 def _padded_staircases(states):
-    """Edge and level matrices padded to a common width.
+    """Edge and level matrices of the states' quantile staircases, padded
+    to a common width.
 
     Padding repeats the last edge, so the padded pieces have zero width and
     drop out of every integral; levels get the final value 1.
     """
-    cdfs = [as_step_cdf(state) for _, state in states]
-    width = max(c.breakpoints.size for c in cdfs)
-    edges = np.empty((len(cdfs), width))
-    levels = np.ones((len(cdfs), width + 1))
-    for i, c in enumerate(cdfs):
-        m = c.breakpoints.size
-        edges[i, :m] = c.breakpoints
-        edges[i, m:] = c.breakpoints[-1]
+    stairs = [quantile_staircase(state) for _, state in states]
+    width = max(pos.size for _, pos in stairs)
+    edges = np.empty((len(stairs), width))
+    levels = np.ones((len(stairs), width + 1))
+    for i, (lev, pos) in enumerate(stairs):
+        m = pos.size
+        edges[i, :m] = pos
+        edges[i, m:] = pos[-1]
         levels[i, 0] = 0.0
-        levels[i, 1 : m + 1] = c.values
+        levels[i, 1 : m + 1] = lev
     return edges, levels
 
 
@@ -144,7 +147,7 @@ def entropy_residuals(states, flux: FluxModel, ks, grid: BumpFamily | None = Non
     """Largest bump residual of the trajectory for each entropy level in ks.
 
     ``states`` is a list of (t, state) pairs at uniformly spaced times; the
-    states are anything with a StepCdf view.  ``ks`` is a 1-d sequence of
+    states are anything with a quantile staircase.  ``ks`` is a 1-d sequence of
     levels in [0, 1].  All levels share one pass over the bumps.  Output at
     or below the quadrature noise floor is consistent with admissibility.
     """

@@ -16,6 +16,7 @@ from .config import ExperimentConfig, build_initial, parse_preset
 from .entropy import entropy_residuals
 from .measures import StepCdf, as_step_cdf, moment, tail_moment
 from .scheme import (
+    decompose_time,
     exact_rarefaction_cdf,
     exact_shock_cdf,
     sh_as_cdf,
@@ -56,54 +57,37 @@ def _metadata(cfg: ExperimentConfig) -> dict:
     return meta
 
 
-def _pair_trajectories(cfg: ExperimentConfig, times, viscous: bool):
+def _pair_distances(cfg: ExperimentConfig):
+    """Sample times and, per time, W_p for each p between the trajectories
+    of the two initial data: viscous for ``viscous_contraction``, inviscid
+    otherwise."""
+    times = np.linspace(0.0, cfg.t_final, cfg.n_times)
     a0 = build_initial(cfg.initial_a, cfg.n_particles, "initial_a")
     b0 = build_initial(cfg.initial_b, cfg.n_particles, "initial_b")
-    if viscous:
-        sa = viscous_trajectory(a0, cfg.flux, cfg.h, cfg.nu, times)
-        sb = viscous_trajectory(b0, cfg.flux, cfg.h, cfg.nu, times)
+    if cfg.kind == "viscous_contraction":
+        sa, sb = (viscous_trajectory(x, cfg.flux, cfg.h, cfg.nu, times) for x in (a0, b0))
     else:
-        sa = sh_trajectory(a0, cfg.flux, cfg.h, times)
-        sb = sh_trajectory(b0, cfg.flux, cfg.h, times)
-    return sa, sb
+        sa, sb = (sh_trajectory(x, cfg.flux, cfg.h, times) for x in (a0, b0))
+    return times, wp_trajectory(sa, sb, cfg.p_list).tolist()
 
 
-def _sweep_rows(cfg: ExperimentConfig, viscous: bool):
-    times = np.linspace(0.0, cfg.t_final, cfg.n_times)
-    sa, sb = _pair_trajectories(cfg, times, viscous)
-    rows = []
-    wps = wp_trajectory(sa, sb, cfg.p_list).tolist()
+def _contraction(cfg: ExperimentConfig) -> ResultTable:
+    times, wps = _pair_distances(cfg)
     w0 = wps[0]
+    rows = []
     for t, ws in zip(times, wps):
-        ratios = [w / w0_i if w0_i > 0 else (1.0 if w == 0 else np.inf) for w, w0_i in zip(ws, w0)]
         row = [t]
-        for w, ratio in zip(ws, ratios):
-            row.extend([w, ratio])
+        for w, w0_i in zip(ws, w0):
+            row.extend([w, w / w0_i if w0_i > 0 else (1.0 if w == 0 else np.inf)])
         rows.append(row)
-    cols = ["t"]
-    for p in cfg.p_list:
-        cols.extend([f"w{p:g}", f"ratio{p:g}"])
-    return cols, rows
-
-
-def _contraction_sweep(cfg: ExperimentConfig) -> ResultTable:
-    cols, rows = _sweep_rows(cfg, viscous=False)
-    return ResultTable(cols, rows, _metadata(cfg))
-
-
-def _viscous_contraction(cfg: ExperimentConfig) -> ResultTable:
-    cols, rows = _sweep_rows(cfg, viscous=True)
+    cols = ["t"] + [f"{name}{p:g}" for p in cfg.p_list for name in ("w", "ratio")]
     return ResultTable(cols, rows, _metadata(cfg))
 
 
 def _classical_constancy(cfg: ExperimentConfig) -> ResultTable:
-    times = np.linspace(0.0, cfg.t_final, cfg.n_times)
-    sa, sb = _pair_trajectories(cfg, times, viscous=False)
-    rows = []
-    wps = wp_trajectory(sa, sb, cfg.p_list).tolist()
+    times, wps = _pair_distances(cfg)
     w0 = wps[0]
-    for t, ws in zip(times, wps):
-        rows.append([t] + [abs(w - w0_i) for w, w0_i in zip(ws, w0)])
+    rows = [[t] + [abs(w - w0_i) for w, w0_i in zip(ws, w0)] for t, ws in zip(times, wps)]
     cols = ["t"] + [f"drift{p:g}" for p in cfg.p_list]
     return ResultTable(cols, rows, _metadata(cfg))
 
@@ -141,7 +125,7 @@ def _moment_audit(cfg: ExperimentConfig) -> ResultTable:
     a0 = build_initial(cfg.initial_a, cfg.n_particles, "initial_a")
     m = cfg.flux.lipschitz_bound
     h = cfg.h
-    n_steps = int(np.floor(cfg.t_final / h + 1e-12))
+    n_steps = decompose_time(cfg.t_final, h)[0]
     times = h * np.arange(n_steps + 1)
     states = sh_trajectory(a0, cfg.flux, h, times)
     rows = []
@@ -174,8 +158,8 @@ def _entropy_residual_table(cfg: ExperimentConfig) -> ResultTable:
 
 
 _RUNNERS = {
-    "contraction_sweep": _contraction_sweep,
-    "viscous_contraction": _viscous_contraction,
+    "contraction_sweep": _contraction,
+    "viscous_contraction": _contraction,
     "classical_constancy": _classical_constancy,
     "convergence_study": _convergence_study,
     "moment_audit": _moment_audit,

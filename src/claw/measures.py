@@ -1,13 +1,13 @@
 """Canonical representations of probability measures on the line.
 
-Two equivalent views are used throughout the package: a right-continuous
-step CDF (a nondecreasing function with limits 0 and 1), and the sorted
-equal-mass particle system obtained by sampling its generalized inverse at
-the midpoint quantile nodes w_i = (i - 1/2)/N.  Conversion between the two
-is exact, including atoms of arbitrary multiplicity.  Both, and the
-mixtures of two particle systems that the scheme interpolates, also have a
-quantile staircase (``quantile_staircase``), the one format the distance
-layer reads; ``as_step_cdf`` and ``cdf_from_particles`` deduplicate it.
+A measure is a right-continuous step CDF (``StepCdf``), a sorted equal-mass
+particle system sampled at the midpoint quantile nodes w_i = (i - 1/2)/N
+(``ParticleQuantiles``), or a mixture of two particle systems
+(``MixtureState``).  Every reader uses one view of it, the quantile
+staircase (levels, positions) of ``quantile_staircase``.  Positions may tie:
+a right-side search lands on the last of a tied run, whose level is the CDF
+there, so each answer equals the deduplicated CDF's bit for bit.  A StepCdf
+is built from a staircase only by ``as_step_cdf`` and ``cdf_from_particles``.
 
 All types are immutable after construction and every operation is a pure
 function, so values can be shared freely across workers.
@@ -37,9 +37,12 @@ __all__ = [
 
 
 def _checked(value, what: str, least: float = 0.0, strict: bool = False) -> float:
-    """``value`` as a float, once it is finite and at least ``least`` (above
-    it if ``strict``): the one range check of every public numeric argument."""
+    """``value`` as a float, once it is a number (not a bool or a string)
+    that is finite and at least ``least`` (above it if ``strict``): the one
+    range check of every public numeric argument."""
     try:
+        if isinstance(value, (bool, np.bool_, str, bytes)):
+            raise TypeError
         v = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{what} must be a number, got {value!r}") from None
@@ -157,9 +160,9 @@ class MixtureState:
             raise ValueError(
                 f"mixture components must have equal size ({self.low.n} vs {self.high.n})"
             )
-        s = float(self.s)
-        if not (0.0 <= s < 1.0):
-            raise ValueError(f"interpolation weight must satisfy 0 <= s < 1, got {s}")
+        s = _checked(self.s, "interpolation weight s")
+        if s >= 1.0:
+            raise ValueError(f"interpolation weight s must be below 1, got {s}")
         object.__setattr__(self, "s", s)
 
     def __call__(self, x):
@@ -173,47 +176,41 @@ def _check_quantile_arg(w) -> np.ndarray:
     return w_arr
 
 
-def generalized_inverse(cdf: StepCdf, w):
-    """Generalized inverse inf{x : F(x) > w} for w in (0, 1).
+def generalized_inverse(obj, w):
+    """Generalized inverse inf{x : F(x) > w} for w in (0, 1): the position
+    of the first staircase level above w.
 
     Scalar in, scalar out; arrays are mapped elementwise.
     """
     w_arr = _check_quantile_arg(w)
-    # first index with value strictly above w
-    idx = np.searchsorted(cdf.values, w_arr, side="right")
-    out = cdf.breakpoints[idx]
+    levels, positions = quantile_staircase(obj)
+    out = positions[np.searchsorted(levels, w_arr, side="right")]
     return float(out) if np.isscalar(w) or w_arr.ndim == 0 else out
 
 
 def cdf_from_particles(pq: ParticleQuantiles) -> StepCdf:
     """Step CDF of the particle law: jump of multiplicity/N at each distinct
     position.  Exact inverse of particles_from_cdf on midpoint nodes."""
-    return _cdf_of_staircase(*quantile_staircase(pq))
+    return as_step_cdf(pq)
 
 
 def particles_from_cdf(cdf: StepCdf, n: int) -> ParticleQuantiles:
     """Sample the generalized inverse at the n midpoint nodes."""
-    pos = generalized_inverse(cdf, midpoint_nodes(n))
-    return ParticleQuantiles(pos)
+    return ParticleQuantiles(generalized_inverse(cdf, midpoint_nodes(n)))
 
 
 def eval_cdf(obj, x):
-    """Right-continuous CDF evaluation of a StepCdf or MixtureState."""
+    """Right-continuous CDF: the level of the last staircase position at or
+    left of x, 0 left of the first."""
     x_arr = np.asarray(x, dtype=float)
-    if isinstance(obj, MixtureState):
-        f_low = _particle_cdf_eval(obj.low, x_arr)
-        f_high = _particle_cdf_eval(obj.high, x_arr)
-        out = (1.0 - obj.s) * f_low + obj.s * f_high
-    elif isinstance(obj, StepCdf):
-        idx = np.searchsorted(obj.breakpoints, x_arr, side="right")
-        out = np.where(idx > 0, obj.values[np.maximum(idx - 1, 0)], 0.0)
-    else:
-        raise TypeError(f"cannot evaluate {type(obj).__name__} as a CDF")
+    out = _staircase_cdf(*quantile_staircase(obj), x_arr)
     return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
 
 
-def _particle_cdf_eval(pq: ParticleQuantiles, x: np.ndarray) -> np.ndarray:
-    return np.searchsorted(pq.positions, x, side="right") / pq.n
+def _staircase_cdf(levels, positions, x: np.ndarray) -> np.ndarray:
+    """``eval_cdf`` on a staircase already built."""
+    idx = np.searchsorted(positions, x, side="right")
+    return np.where(idx > 0, levels[idx - 1], 0.0)
 
 
 def moment(pq: ParticleQuantiles, p: float) -> float:
@@ -291,21 +288,16 @@ def _mixture_levels(merge, s: float) -> np.ndarray:
     return levels
 
 
-def _cdf_of_staircase(levels, positions) -> StepCdf:
-    """The StepCdf of a quantile staircase: each distinct position carries
-    the last level of its run of tied positions."""
+def as_step_cdf(obj) -> StepCdf:
+    """Exact StepCdf of a particle system or mixture state: each distinct
+    staircase position carries the last level of its run of tied positions."""
+    if isinstance(obj, StepCdf):
+        return obj
+    levels, positions = quantile_staircase(obj)
     last = np.append(positions[1:] != positions[:-1], True)
     return StepCdf(positions[last], levels[last])
 
 
-def as_step_cdf(obj) -> StepCdf:
-    """Exact StepCdf view of a particle system or mixture state."""
-    if isinstance(obj, StepCdf):
-        return obj
-    return _cdf_of_staircase(*quantile_staircase(obj))
-
-
 def mixture_quantile(ms: MixtureState, w):
-    """Generalized inverse of the mixture CDF, computed exactly on the merged
-    step structure of the two particle sets."""
-    return generalized_inverse(as_step_cdf(ms), w)
+    """Generalized inverse of the mixture CDF, exact on its staircase."""
+    return generalized_inverse(ms, w)

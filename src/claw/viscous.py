@@ -196,17 +196,21 @@ def smoothed_quantile(sc: SmoothedCdf, w: float, tol: float = DEFAULT_TOL) -> fl
     """The unique x with F(x) = w, within tol/2, by the exact solver started
     at the center of the same rank.  A tol below twice the float spacing at
     max|x_j| + 10 sigma is rejected."""
-    w = np.atleast_1d(_check_quantile_arg(w))
+    w = _check_quantile_arg(w)
+    if w.ndim != 0:
+        raise ValueError(f"quantile level w must be a single number, got {w.tolist()!r}")
     c = sc.centers.positions
-    _check_tol(tol, c, sc.sigma)
-    start = c[min(int(w[0] * c.size), c.size - 1)]
-    return float(_solve_nodes(c, sc.sigma, w, np.array([start]), tol)[0])
+    tol = _check_tol(tol, c, sc.sigma)
+    start = c[min(int(w * c.size), c.size - 1)]
+    return float(_solve_nodes(c, sc.sigma, w[None], np.array([start]), tol)[0])
 
 
-def _check_tol(tol: float, centers, sigma: float) -> None:
-    """Reject a tol below two float spacings at the solver's reach, max|x_j|
-    + 10 sigma: there the probes x -+ tol/2 round onto x or its neighbours,
-    and the solver would run to its pass cap uncertified."""
+def _check_tol(tol: float, centers, sigma: float) -> float:
+    """``tol`` as a float, once it is a finite number above 0 and at least
+    two float spacings at the solver's reach, max|x_j| + 10 sigma: below
+    that the probes x -+ tol/2 round onto x or its neighbours, and the
+    solver would run to its pass cap uncertified."""
+    tol = _checked(tol, "tolerance", strict=True)
     reach = max(abs(centers[0]), abs(centers[-1])) + _REACH_SD * sigma
     least = float(2.0 * np.spacing(reach))
     if not (tol >= least):
@@ -214,6 +218,7 @@ def _check_tol(tol: float, centers, sigma: float) -> None:
             f"tolerance must be at least {least!r}, twice the float spacing at "
             f"|x| = {reach:g}, got {tol!r}"
         )
+    return tol
 
 
 def _bracket(centers, sigma: float, tol: float) -> tuple[float, float]:
@@ -397,7 +402,7 @@ def heat_resample(
     """
     sigma = _checked(sigma, "sigma", strict=True)
     centers = pq.positions
-    _check_tol(tol, centers, sigma)
+    tol = _check_tol(tol, centers, sigma)
     pos = _resample_clusters(centers, sigma, midpoint_nodes(pq.n), tol)
     return ParticleQuantiles(np.sort(pos, kind="stable"))
 

@@ -15,8 +15,9 @@ systems of a scheme state once for every run of states whose ``base`` and
 ``next`` are the same objects, as ``sh_trajectory`` and
 ``viscous_trajectory`` produce within one step; each state then needs only
 its levels at its own weight s.  The result is exact up to rounding whether
-or not states share.  ``w1_via_cdf`` integrates |F_a - F_b|
-instead, the independent check of the identity W_1 = L^1 of the CDFs.
+or not states share.  ``w1_via_cdf`` integrates |F_a - F_b| over x
+instead, each CDF read from its staircase on the union of the two position
+sets: the independent check of the identity W_1 = L^1 of the CDFs.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ import numpy as np
 
 from .measures import (
     ParticleQuantiles,
-    StepCdf,
     _checked,
     _mixture_levels,
     _mixture_merge,
-    as_step_cdf,
+    _staircase_cdf,
     quantile_staircase,
     tail_moment,
 )
@@ -149,20 +149,19 @@ def wp_cdf(f, g, p: float = 1.0) -> float:
     return wp_from_staircases(quantile_staircase(f), quantile_staircase(g), [p])[0]
 
 
-def w1_via_cdf(f: StepCdf, g: StepCdf) -> float:
-    """L^1 distance of the CDFs themselves, integrated exactly on the merged
-    breakpoint partition.  Equals W_1 of the underlying measures and serves
+def w1_via_cdf(f, g) -> float:
+    """L^1 distance of the CDFs themselves (StepCdf, particle system or
+    mixture state), integrated exactly over x on the union of the two
+    staircases' positions.  Equals W_1 of the underlying measures and serves
     as the independent cross-check of wp_cdf at p = 1."""
-    f = as_step_cdf(f)
-    g = as_step_cdf(g)
-    grid = np.union1d(f.breakpoints, g.breakpoints)
+    stair_f = quantile_staircase(f)
+    stair_g = quantile_staircase(g)
+    grid = np.union1d(stair_f[1], stair_g[1])
     if grid.size < 2:
         return 0.0
-    widths = np.diff(grid)
     lefts = grid[:-1]
-    fv = f(lefts)
-    gv = g(lefts)
-    return float(np.sum(np.abs(fv - gv) * widths))
+    gaps = np.abs(_staircase_cdf(*stair_f, lefts) - _staircase_cdf(*stair_g, lefts))
+    return float(np.sum(gaps * np.diff(grid)))
 
 
 def weak_convergence_gap(seq, limit: ParticleQuantiles, p: float, r: float):

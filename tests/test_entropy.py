@@ -209,7 +209,7 @@ def screened_trajectories(draw):
     random data, small enough for the stacked reference."""
     n = draw(st.integers(min_value=4, max_value=128))
     n_times = draw(st.integers(min_value=3, max_value=33))
-    kind = draw(st.sampled_from(["scheme", "shock", "rarefaction", "reversed"]))
+    kind = draw(st.sampled_from(["scheme", "atoms", "shock", "rarefaction", "reversed"]))
     if kind == "shock":
         return shock_states(1.0, n, n_times), concave
     if kind == "rarefaction":
@@ -217,7 +217,14 @@ def screened_trajectories(draw):
     if kind == "reversed":
         return reversed_shock_states(1.0, n, n_times), concave
     flux = make_builtin(draw(st.sampled_from(["burgers", "concave_quadratic", "cubic", "linear"])))
-    a0 = build_initial({"preset": f"random({draw(st.integers(0, 10**6))})"}, n)
+    if kind == "atoms":
+        # a few dyadic sites: positions tie within and across base and next
+        n = draw(st.integers(min_value=1, max_value=64))
+        sites = draw(st.lists(st.integers(-8, 8), min_size=1, max_size=3))
+        picks = draw(st.lists(st.sampled_from(sites), min_size=n, max_size=n))
+        a0 = ParticleQuantiles(np.sort(np.asarray(picks, dtype=float) / 4.0))
+    else:
+        a0 = build_initial({"preset": f"random({draw(st.integers(0, 10**6))})"}, n)
     h = draw(st.sampled_from([0.05, 0.1, 0.25]))
     times = np.linspace(0.0, draw(st.sampled_from([0.5, 1.0, 2.0])), n_times)
     return [(t, sh_as_cdf(s)) for t, s in zip(times, sh_trajectory(a0, flux, h, times))], flux
@@ -245,3 +252,7 @@ def test_residuals_match_direct_evaluation(trajectory, grid, data):
     got = entropy_residuals(states, flux, ks, grid)
     assert got.shape == (len(ks),)
     assert np.all(np.abs(got - reference_residuals(states, flux, ks, grid)) <= 1e-13)
+    # tied positions only add pieces of zero width: the screen of the
+    # deduplicated CDFs is the same bits
+    deduplicated = [(t, as_step_cdf(state)) for t, state in states]
+    assert np.array_equal(got, entropy_residuals(deduplicated, flux, ks, grid))

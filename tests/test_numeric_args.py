@@ -2,6 +2,7 @@
 out-of-range value raises a ValueError that names the argument, before any
 arithmetic can warn."""
 
+import re
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from claw.entropy import BumpFamily
 from claw.fluxes import make_builtin
 from claw.lcg import lcg_floats
 from claw.measures import (
+    MixtureState,
     ParticleQuantiles,
     StepCdf,
     generalized_inverse,
@@ -27,7 +29,13 @@ from claw.scheme import (
     th_step,
     transport,
 )
-from claw.viscous import SmoothedCdf, heat_resample, viscous_step, viscous_trajectory
+from claw.viscous import (
+    SmoothedCdf,
+    heat_resample,
+    smoothed_quantile,
+    viscous_step,
+    viscous_trajectory,
+)
 from claw.wasserstein import (
     quantile_staircase,
     wp_cdf,
@@ -62,6 +70,11 @@ CASES = {
     "exact_rarefaction_cdf t": (lambda v: exact_rarefaction_cdf(v, 8), "time", BELOW_ZERO),
     "SmoothedCdf sigma": (lambda v: SmoothedCdf(PQ, v), "sigma", 0.0),
     "heat_resample sigma": (lambda v: heat_resample(PQ, v), "sigma", 0.0),
+    "heat_resample tol": (lambda v: heat_resample(PQ, 0.5, tol=v), "tolerance", 0.0),
+    "smoothed_quantile tol": (
+        lambda v: smoothed_quantile(SmoothedCdf(PQ, 0.5), 0.3, tol=v), "tolerance", 0.0
+    ),
+    "MixtureState s": (lambda v: MixtureState(PQ, PQ, v), "interpolation weight", BELOW_ZERO),
     "viscous_step nu": (lambda v: viscous_step(PQ, BURGERS, 0.1, v), "viscosity", 0.0),
     "viscous_trajectory nu": (
         lambda v: viscous_trajectory(PQ, BURGERS, 0.1, v, [0.0, 0.1]), "viscosity", 0.0
@@ -98,6 +111,22 @@ def test_bad_numeric_argument_is_named(arg, value):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"{name}.* must be finite and .*got {value}"):
             call(value)
+
+
+@pytest.mark.parametrize(
+    "arg, value",
+    [
+        pytest.param(arg, value, id=f"{arg}={value!r}")
+        for arg in CASES
+        for value in ("0.5", b"0.5", True, np.True_)
+    ],
+)
+def test_strings_and_bools_are_not_numbers(arg, value):
+    # heat_resample(PQ, "0.5") ran with sigma = 0.5 and tail_moment(PQ,
+    # True, 0.0) took p = 1; a string tol raised a bare TypeError
+    call, name, _ = CASES[arg]
+    with pytest.raises(ValueError, match=f"{name}.* must be a number, got {re.escape(repr(value))}"):
+        call(value)
 
 
 def test_values_that_slipped_through_are_rejected():

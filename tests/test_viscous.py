@@ -106,6 +106,11 @@ class TestSmoothedQuantile:
         with pytest.raises(ValueError):
             smoothed_quantile(SmoothedCdf(dirac(2), 1.0), 1.0)
 
+    def test_several_levels_rejected(self):
+        # one level in, one float out; a list raised an IndexError in the solver
+        with pytest.raises(ValueError, match=r"level w must be a single number, got \[0.2, 0.7\]"):
+            smoothed_quantile(SmoothedCdf(dirac(2), 1.0), [0.2, 0.7])
+
     def test_nan_input_reported(self, monkeypatch):
         # NaN cannot enter through validation, so splice it in behind the
         # frozen dataclass: the tol check, whose reach is then NaN, must

@@ -12,7 +12,10 @@ from claw.measures import (
     StepCdf,
     as_step_cdf,
     cdf_from_particles,
+    eval_cdf,
+    generalized_inverse,
     midpoint_nodes,
+    mixture_quantile,
 )
 from claw.scheme import SchemeState, sh_as_cdf, sh_trajectory
 from claw.wasserstein import (
@@ -240,14 +243,25 @@ def mixtures(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(mixtures())
-def test_step_cdfs_match_unique_constructions(ms):
+@given(mixtures(), mixtures())
+def test_step_cdfs_match_unique_constructions(ms, other):
+    cdf = as_step_cdf(ms)
     for got, (values, breakpoints) in [
-        (as_step_cdf(ms), unique_mixture_cdf(ms)),
+        (cdf, unique_mixture_cdf(ms)),
         (cdf_from_particles(ms.low), unique_particle_cdf(ms.low)),
     ]:
         assert np.array_equal(got.values, values)
         assert np.array_equal(got.breakpoints, breakpoints)
+    # the readers of the staircase, ties and all, give the StepCdf's answers
+    # bit for bit: at and between every position, and at every level
+    pos = np.concatenate([ms.low.positions, ms.high.positions, other.low.positions])
+    xs = np.concatenate([pos, pos - 1.0 / 8.0, [pos.min() - 1.0, pos.max() + 1.0]])
+    levels = np.concatenate([cdf.values, quantile_staircase(ms)[0], midpoint_nodes(7)])
+    ws = levels[(levels > 0.0) & (levels < 1.0)]
+    assert np.array_equal(eval_cdf(ms, xs), eval_cdf(cdf, xs))
+    assert np.array_equal(generalized_inverse(ms, ws), generalized_inverse(cdf, ws))
+    assert np.array_equal(mixture_quantile(ms, ws), generalized_inverse(cdf, ws))
+    assert w1_via_cdf(ms, other) == w1_via_cdf(cdf, as_step_cdf(other))
 
 
 @st.composite
