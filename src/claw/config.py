@@ -229,6 +229,14 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError("field 't_final': must be nonnegative")
     if not cfg.p_list or any(p < 1 for p in cfg.p_list):
         raise ConfigError("field 'p_list': needs orders p >= 1")
+    # the CSV columns spell each order as f"{p:g}" (w1, ratio1, drift1, ...)
+    spelled = [f"{p:g}" for p in cfg.p_list]
+    twice = sorted({s for s in spelled if spelled.count(s) > 1})
+    if twice:
+        raise ConfigError(
+            f"field 'p_list': more than one order is written as {twice[0]!r}, "
+            "so two CSV columns would have the same name"
+        )
     if cfg.n_times < 2:
         raise ConfigError("field 'n_times': need at least 2 sample times")
     if cfg.nu < 0:

@@ -48,6 +48,13 @@ clusters, and those whose table would span more than ``_MAX_TABLE_SD`` =
 21845 sigma (n_c above about 1092), get none.  Every node starts at its
 same-rank center, a table overwrites its cluster's nodes, and one exact
 solve over all the centers finishes every node that no table certified.
+
+The table's transforms are numpy's (``numpy.fft``, at the 11-smooth length
+``_next_fast_len``), and scipy, for ``ndtr``, is imported on the first
+exact window sum.  ``import claw`` and every run whose clusters are all
+tabled thus skip scipy's import time and memory.  The tables were checked
+bit for bit against ``scipy.fft`` on numpy 2.4.6 only; numpy 1.x ships an
+older pocketfft, whose last digits may differ within ``_TABLE_ERR``.
 """
 
 from __future__ import annotations
@@ -56,8 +63,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len, rfft, irfft
-from scipy.special import ndtr
 
 from .fluxes import FluxModel
 from .measures import ParticleQuantiles, _check_quantile_arg, _checked, midpoint_nodes
@@ -79,6 +84,9 @@ MAX_SOLVE_ITER = 200
 # exact-evaluation window, in standard deviations; truncation error in the
 # CDF is below 2.3e-19 in absolute value
 _WINDOW_SD = 9.0
+# most (query, center) terms one block of the exact window sum holds; its
+# working arrays peak near five times this many 8-byte values (40 MiB)
+_BLOCK_TERMS = 1 << 20
 # reach beyond the outermost centers, in standard deviations, of the
 # solver's bracket, the tol check and a CDF table's padding.  Every center
 # is more than 9 sigma inside the bracket, so F is exactly 0 and 1 at its
@@ -158,31 +166,51 @@ def _ragged_window_eval(centers: np.ndarray, sigma: float, x: np.ndarray, densit
 
     Right of the median center the sum is of the mass right of x, and F is
     its complement, so F near 1 does not carry the rounding of a sum near
-    N.  Each query's terms are summed pairwise."""
+    N.  Each query's terms are summed pairwise.  The queries are taken in
+    blocks of at most ``_BLOCK_TERMS`` terms, cut between queries; a query
+    with more terms than that is a block of its own."""
+    from scipy.special import ndtr  # the only scipy import (module docstring)
+
     n = centers.size
     half = _WINDOW_SD * sigma
     lo = np.searchsorted(centers, x - half, side="right")
     hi = np.searchsorted(centers, x + half, side="right")
     counts = hi - lo
-    first = np.cumsum(counts) - counts
-    owner = np.repeat(np.arange(x.size), counts)
-    # term k of query q sums center lo[q] + (k - first term of q)
-    idx = np.arange(counts.sum()) + np.repeat(lo - first, counts)
-    z = (x[owner] - centers[idx]) / sigma
+    ends = np.cumsum(counts)
     right = x > centers[n // 2]
-    np.negative(z, out=z, where=right[owner])
-    mass = (np.where(right, n - hi, lo) + _query_sums(ndtr(z), first, counts)) / n
+    mass = np.where(right, n - hi, lo).astype(float)
+    dens = np.zeros(x.size)
+    start = 0
+    while start < x.size:
+        cap = ends[start] - counts[start] + _BLOCK_TERMS
+        stop = max(int(np.searchsorted(ends, cap, side="right")), start + 1)
+        c = counts[start:stop]
+        first = np.cumsum(c) - c
+        owner = np.repeat(np.arange(start, stop), c)
+        # term k of query q sums center lo[q] + (k - first term of q)
+        idx = np.arange(first[-1] + c[-1]) + np.repeat(lo[start:stop] - first, c)
+        z = (x[owner] - centers[idx]) / sigma
+        np.negative(z, out=z, where=right[owner])
+        mass[start:stop] += _query_sums(ndtr(z), first, c)
+        if density:
+            dens[start:stop] = _query_sums(np.exp(-0.5 * z * z), first, c)
+        start = stop
+    mass /= n
     cdf = np.where(right, 1.0 - mass, mass)
     if not density:
         return cdf
-    dens = _query_sums(np.exp(-0.5 * z * z), first, counts)
     return cdf, dens / (n * sigma * math.sqrt(2.0 * math.pi))
 
 
 def _query_sums(terms, first, counts):
-    """Pairwise sum of each query's run of terms, 0 for a query with none
-    (``reduceat`` gives an empty run the term at its start)."""
-    return np.where(counts > 0, np.add.reduceat(np.append(terms, 0.0), first), 0.0)
+    """Pairwise sum of each query's run of terms, 0 for a query with none.
+    ``reduceat`` is given only the runs that have terms, so each run ends
+    where the next begins or at the end of ``terms``, and its sum does not
+    depend on where in ``terms`` the run lies."""
+    out = np.zeros(counts.size)
+    some = counts > 0
+    out[some] = np.add.reduceat(terms, first[some])
+    return out
 
 
 def smoothed_cdf_eval(sc: SmoothedCdf, x):
@@ -269,6 +297,30 @@ def _solve_nodes(centers, sigma, targets, x, tol) -> np.ndarray:
     return x
 
 
+def _next_fast_len(n: int) -> int:
+    """The least 11-smooth integer >= n, the length pocketfft transforms
+    fastest (what ``scipy.fft.next_fast_len`` returns): for each product f
+    of powers of 3, 5, 7 and 11 below the best length so far, the least
+    power-of-2 multiple of f that reaches n."""
+    best = 1 << max(n - 1, 0).bit_length()
+    f11 = 1
+    while f11 < best:
+        f7 = f11
+        while f7 < best:
+            f5 = f7
+            while f5 < best:
+                f3 = f5
+                while f3 < best:
+                    x = f3 << (-(-n // f3) - 1).bit_length()
+                    if x < best:
+                        best = x
+                    f3 *= 3
+                f5 *= 5
+            f7 *= 7
+        f11 *= 11
+    return best
+
+
 def _grid_cdf_table(centers, sigma):
     """(x0, delta, F, F', F''): the mixture CDF and its derivatives on the
     grid x0 + delta*k of 32 cells per sigma from 10 sigma left of the first
@@ -278,7 +330,7 @@ def _grid_cdf_table(centers, sigma):
     delta = sigma / _CELLS_PER_SD
     x0 = centers[0] - _REACH_SD * sigma
     g0 = int(math.ceil((centers[-1] + _REACH_SD * sigma - x0) / delta)) + 2
-    m = next_fast_len(g0)
+    m = _next_fast_len(g0)
 
     # B-spline weights of each atom on its 8 nearest cells; the offsets are
     # taken from x0, not from the absolute grid points, whose rounding far
@@ -299,13 +351,13 @@ def _grid_cdf_table(centers, sigma):
     k = np.arange(int(_BAND_SD * m * delta / (2.0 * math.pi * sigma)) + 1)
     xi = (2.0 * math.pi / (m * delta)) * k
     gain = np.exp(-0.5 * (sigma * xi) ** 2) / (n * delta * np.sinc(k / m) ** 8)
-    dens_hat = rfft(spread)[: k.size] * gain
-    dens = irfft(dens_hat, m)[:g0]
-    curv = irfft(1j * xi * dens_hat, m)[:g0]
+    dens_hat = np.fft.rfft(spread)[: k.size] * gain
+    dens = np.fft.irfft(dens_hat, m)[:g0]
+    curv = np.fft.irfft(1j * xi * dens_hat, m)[:g0]
     anti_hat = np.zeros_like(dens_hat)
     anti_hat[1:] = dens_hat[1:] / (1j * xi[1:])
     ramp = (dens_hat[0].real / m) * delta * np.arange(g0)
-    f_part = irfft(anti_hat, m)[:g0]
+    f_part = np.fft.irfft(anti_hat, m)[:g0]
     f_grid = f_part + ramp - f_part[0]
 
     f_grid = np.minimum(np.maximum.accumulate(np.maximum(f_grid, 0.0)), 1.0)

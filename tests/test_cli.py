@@ -75,6 +75,15 @@ def test_missing_file_exits_one(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_exits_one(tmp_path, capsys):
+    # only OSError was caught, so UnicodeDecodeError ended in a traceback
+    bad = tmp_path / "binary.cfg"
+    bad.write_bytes(b"kind = contraction_sweep\n\xff\xfe\x00\n")
+    assert main(["run", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config:") and "utf-8" in err
+
+
 def test_unwritable_output_exits_one(config_file, tmp_path, capsys):
     # a missing directory raised FileNotFoundError out of main
     out_path = tmp_path / "no_such_dir" / "result.csv"

@@ -321,3 +321,10 @@ def test_non_finite_numbers_rejected(line):
     key = line.split(" =")[0]
     with pytest.raises(ConfigError, match=f"'{key}': expected finite numbers"):
         parse_config(line + "\n" + MINIMAL)
+
+
+@pytest.mark.parametrize("orders", ["1 1", "1 1.0000001", "2 1 2.0"])
+def test_orders_naming_the_same_csv_column_rejected(orders):
+    # the columns are spelled f"w{p:g}", f"drift{p:g}", f"w{p:g}_error"
+    with pytest.raises(ConfigError, match="'p_list': more than one order is written as"):
+        parse_config(f"p_list = {orders}\n" + MINIMAL)

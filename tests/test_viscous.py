@@ -79,6 +79,21 @@ class TestSmoothedCdfEval:
         with pytest.raises(ValueError):
             SmoothedCdf(dirac(2), 0.0)
 
+    @pytest.mark.parametrize("cap", [1, 7, 1000])
+    def test_window_sum_in_blocks_is_bit_identical(self, monkeypatch, rng, cap):
+        # 2000 centers on [0, 1] and 120 centers 19 sigma apart, queried in
+        # random order, some with no center in the window; a cap below a
+        # query's term count makes that query a block of its own
+        c = np.concatenate([np.linspace(0.0, 1.0, 2000), 2.0 + 19.0 * np.arange(120)])
+        x = rng.uniform(-15.0, c[-1] + 15.0, 3000)
+        eval_ = viscous_mod._ragged_window_eval
+        one_block = eval_(c, 1.0, x), eval_(c, 1.0, x, density=True)
+        monkeypatch.setattr(viscous_mod, "_BLOCK_TERMS", cap)
+        f, (g, d) = eval_(c, 1.0, x), eval_(c, 1.0, x, density=True)
+        assert f.tobytes() == one_block[0].tobytes()
+        assert g.tobytes() == one_block[1][0].tobytes()
+        assert d.tobytes() == one_block[1][1].tobytes()
+
 
 class TestSmoothedQuantile:
     def test_median_by_symmetry(self):
@@ -349,6 +364,16 @@ class TestCdfTable:
         ulps = 8 * np.finfo(float).eps
         assert np.all(full_sum_cdf(pq.positions, sigma, x - 0.5 * tol) <= w + ulps)
         assert np.all(w - ulps <= full_sum_cdf(pq.positions, sigma, x + 0.5 * tol))
+
+
+def test_table_length_is_scipys_next_fast_len():
+    # the least 11-smooth length, up to the longest table _MAX_TABLE_SD allows
+    from scipy.fft import next_fast_len
+
+    longest = int(viscous_mod._MAX_TABLE_SD * viscous_mod._CELLS_PER_SD) + 3
+    sampled = np.random.default_rng(15).integers(20001, longest, 500)
+    for n in [*range(1, 20001), *sampled.tolist(), longest]:
+        assert viscous_mod._next_fast_len(n) == next_fast_len(n), n
 
 
 def test_error_bound_constants_bound_their_suprema():
