@@ -19,7 +19,9 @@ Initial-datum presets (the ``preset`` key of an initial section):
                         decimal integer in [0, 2^64)
 
 The random preset accepts optional ``a``, ``b`` (default -1, 1) and
-``atoms`` (default "-0.5 0.5") keys in its section.
+``atoms`` (default "-0.5 0.5") keys in its section.  The top-level
+``seed`` key seeds nothing: the CSV only echoes it, and random data take
+their seeds from their presets.
 """
 
 from __future__ import annotations
@@ -120,8 +122,14 @@ def _parse_lines(text: str, overrides=None):
         key, value = (part.strip() for part in line.split("=", 1))
         put(where, section, key, value)
     for dotted, value in overrides or []:
+        where = f"override {dotted!r}"
+        # the CSV echoes every value on one '#' line; a config-file line
+        # can hold no line break, an override could
+        for part in (dotted, value):
+            if "".join(part.splitlines()) != part:
+                raise ConfigError(f"{where}: {part!r} holds a line break")
         section, key = dotted.split(".", 1) if "." in dotted else (None, dotted)
-        put(f"override {dotted!r}", section, key, value)
+        put(where, section, key, value)
     return out
 
 

@@ -1,8 +1,10 @@
 """Config-driven experiments and CSV emission.
 
 Each experiment kind produces a rectangular ResultTable of floats plus
-metadata (config echo, version, seed).  Identical config and seed give
-byte-identical CSV output.
+metadata (config echo, version, seed).  Identical configs give
+byte-identical CSV output.  The ``seed`` key seeds nothing: it is only
+echoed as ``# seed = ...``; random initial data take their seeds from
+their ``random(k)`` presets.
 """
 
 from __future__ import annotations
@@ -58,9 +60,9 @@ def _metadata(cfg: ExperimentConfig) -> dict:
 
 
 def _pair_distances(cfg: ExperimentConfig):
-    """Sample times and, per time, W_p for each p between the trajectories
-    of the two initial data: viscous for ``viscous_contraction``, inviscid
-    otherwise."""
+    """Sample times and the (T, P) array of W_p, for each time and p,
+    between the trajectories of the two initial data: viscous for
+    ``viscous_contraction``, inviscid otherwise."""
     times = np.linspace(0.0, cfg.t_final, cfg.n_times)
     a0 = build_initial(cfg.initial_a, cfg.n_particles, "initial_a")
     b0 = build_initial(cfg.initial_b, cfg.n_particles, "initial_b")
@@ -68,26 +70,20 @@ def _pair_distances(cfg: ExperimentConfig):
         sa, sb = (viscous_trajectory(x, cfg.flux, cfg.h, cfg.nu, times) for x in (a0, b0))
     else:
         sa, sb = (sh_trajectory(x, cfg.flux, cfg.h, times) for x in (a0, b0))
-    return times, wp_trajectory(sa, sb, cfg.p_list).tolist()
+    return times, wp_trajectory(sa, sb, cfg.p_list)
 
 
 def _contraction(cfg: ExperimentConfig) -> ResultTable:
-    times, wps = _pair_distances(cfg)
-    w0 = wps[0]
-    rows = []
-    for t, ws in zip(times, wps):
-        row = [t]
-        for w, w0_i in zip(ws, w0):
-            row.extend([w, w / w0_i if w0_i > 0 else (1.0 if w == 0 else np.inf)])
-        rows.append(row)
+    times, w = _pair_distances(cfg)
+    ratio = np.divide(w, w[0], out=np.where(w == 0, 1.0, np.inf), where=w[0] > 0)
+    pairs = np.stack([w, ratio], axis=2).reshape(times.size, -1)
     cols = ["t"] + [f"{name}{p:g}" for p in cfg.p_list for name in ("w", "ratio")]
-    return ResultTable(cols, rows, _metadata(cfg))
+    return ResultTable(cols, np.column_stack([times, pairs]).tolist(), _metadata(cfg))
 
 
 def _classical_constancy(cfg: ExperimentConfig) -> ResultTable:
-    times, wps = _pair_distances(cfg)
-    w0 = wps[0]
-    rows = [[t] + [abs(w - w0_i) for w, w0_i in zip(ws, w0)] for t, ws in zip(times, wps)]
+    times, w = _pair_distances(cfg)
+    rows = np.column_stack([times, np.abs(w - w[0])]).tolist()
     cols = ["t"] + [f"drift{p:g}" for p in cfg.p_list]
     return ResultTable(cols, rows, _metadata(cfg))
 
@@ -168,7 +164,7 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
-    """Run the configured experiment; deterministic given config and seed."""
+    """Run the configured experiment; deterministic given the config."""
     return _RUNNERS[cfg.kind](cfg)
 
 

@@ -15,9 +15,8 @@ x_{k+m} = A_m x_k + C_m (mod 2^64), and two such maps compose as
     (A_{2m}, C_{2m}) = (A_m^2, A_m C_m + C_m)  (mod 2^64),
 
 so the states x_1..x_m give x_{m+1}..x_{2m} in one wrapping uint64 multiply
-and add.  The first 16 states come from ``Lcg64`` one step at a time and
-the doubling starts from them.  The states, and hence the doubles, are
-those of ``Lcg64``.
+and add.  The doubling starts from x_1, the first state of ``Lcg64``.
+The states, and hence the doubles, are those of ``Lcg64``.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = ["Lcg64", "lcg_floats"]
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
 _MASK = (1 << 64) - 1
-_FIRST_BLOCK_LOG2 = 4
 
 
 class Lcg64:
@@ -62,15 +60,10 @@ def _doubled(mult: int, inc: int) -> tuple[int, int]:
 def lcg_floats(seed: int, count: int) -> np.ndarray:
     """The next ``count`` values of ``Lcg64(seed).next_float()``, as an array."""
     count = _checked_count(count, "count", least=0)
-    # the first block one step at a time: for a few states numpy's per-call
-    # cost exceeds the arithmetic; (mult, inc) then maps x_k to x_{k+m}
-    rng = Lcg64(seed)
-    m = min(count, 1 << _FIRST_BLOCK_LOG2)
+    # states[:m] holds x_1..x_m, and (mult, inc) maps x_k to x_{k+m}
     states = np.empty(count, dtype=np.uint64)
-    states[:m] = [rng.next_u64() for _ in range(m)]
-    mult, inc = _MULT, _INC
-    for _ in range(_FIRST_BLOCK_LOG2):
-        mult, inc = _doubled(mult, inc)
+    states[:1] = Lcg64(seed).next_u64()
+    m, mult, inc = 1, _MULT, _INC
     while m < count:
         k = min(m, count - m)
         # numpy uint64 array arithmetic wraps mod 2^64

@@ -176,6 +176,13 @@ def _check_quantile_arg(w) -> np.ndarray:
     return w_arr
 
 
+def _check_cdf_arg(x) -> np.ndarray:
+    x_arr = np.asarray(x, dtype=float)
+    if np.isnan(x_arr).any():
+        raise ValueError(f"CDF argument x must not be NaN, got {x}")
+    return x_arr
+
+
 def generalized_inverse(obj, w):
     """Generalized inverse inf{x : F(x) > w} for w in (0, 1): the position
     of the first staircase level above w.
@@ -202,7 +209,7 @@ def particles_from_cdf(cdf: StepCdf, n: int) -> ParticleQuantiles:
 def eval_cdf(obj, x):
     """Right-continuous CDF: the level of the last staircase position at or
     left of x, 0 left of the first."""
-    x_arr = np.asarray(x, dtype=float)
+    x_arr = _check_cdf_arg(x)
     out = _staircase_cdf(*quantile_staircase(obj), x_arr)
     return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
 

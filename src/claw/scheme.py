@@ -160,28 +160,21 @@ def sh_trajectory(
             return _step_positions(pos, speeds)
 
     out = []
-    k = 0
-    cur = np.asarray(pq0.positions, dtype=float)
-    nxt = None
-    # a step array is wrapped (and validated) once, when a state first uses
-    # it; states that share base or next then share the same objects
-    cur_pq, nxt_pq = pq0, None
+    # step index -> its positions wrapped (and validated) once, when a state
+    # first uses it; states that share base or next then share the objects
+    wrapped = {0: pq0}
+    # the positions of steps k - 1 and k
+    k, prev, cur = 0, None, np.asarray(pq0.positions, dtype=float)
     for t in times:
         n, s = decompose_time(t, h)
-        while k < n:
-            if nxt is None:
-                cur, cur_pq = step_fn(cur), None
-            else:
-                cur, cur_pq = nxt, nxt_pq
-            nxt = nxt_pq = None
+        while k <= n:
+            prev, cur = cur, step_fn(cur)
             k += 1
-        if nxt is None:
-            nxt = step_fn(cur)
-        if cur_pq is None:
-            cur_pq = ParticleQuantiles(cur)
-        if nxt_pq is None:
-            nxt_pq = ParticleQuantiles(nxt)
-        out.append(SchemeState(base=cur_pq, next=nxt_pq, s=s, h=h, steps_taken=n, flux=flux))
+        if n not in wrapped:
+            wrapped[n] = ParticleQuantiles(prev)
+        if n + 1 not in wrapped:
+            wrapped[n + 1] = ParticleQuantiles(cur)
+        out.append(SchemeState(wrapped[n], wrapped[n + 1], s=s, h=h, steps_taken=n, flux=flux))
     return out
 
 

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fluxes import FluxModel
-from .measures import ParticleQuantiles, _check_quantile_arg, _checked, midpoint_nodes
+from .measures import ParticleQuantiles, _check_cdf_arg, _check_quantile_arg, _checked, midpoint_nodes
 from .scheme import SchemeState, _step_positions, sh_trajectory, th_step
 
 __all__ = [
@@ -95,7 +95,11 @@ _REACH_SD = 10.0
 # CDF table resolution, in cells per sigma
 _CELLS_PER_SD = 32
 # clusters whose table, padding included, would span more than this many
-# sigma go to the exact solver
+# sigma go to the exact solver.  Tabling them instead, in windows capped by
+# span, helps only dense data, and is slow where the solver's windows hold
+# few centers: 2000 centers on [0, 1] plus 1200 centers 19 sigma apart
+# (sigma = 1) took 1001 -> 173 ms, but 2000 centers 19 sigma apart 1.4 ->
+# 273 ms and 8000 centers 15 sigma apart (sigma = 0.1) 4 -> 938 ms
 _MAX_TABLE_SD = 21845.0
 # sup |phi^(5)| = sup |(z^5 - 10 z^3 + 15 z) phi(z)| = 2.3071 for the unit
 # Gaussian density phi; the quintic Hermite error bound is
@@ -117,7 +121,11 @@ _BAND_SD = math.sqrt(-2.0 * math.log(math.ulp(0.0)))
 # padding of one cluster is then more than _REACH_SD from every other
 # cluster, outside the evaluation window
 _GAP_SD = 2.0 * _REACH_SD
-# clusters with fewer particles get no table
+# clusters with fewer particles get no table.  48 is near the measured
+# crossover (clusters spread on [0, 1], 10 apart, sigma = 0.1; best of 5 on
+# a 2-core Xeon): tabling every cluster of 2 or more instead took 512
+# clusters of 2 from 0.5 to 135 ms, 128 of 8 from 3.0 to 58 ms and 32 of 32
+# from 8.5 to 11 ms, and won only near 48 (21 of 47: 10.3 -> 7.0 ms)
 _MIN_GRID_N = 48
 # safeguarded Newton iteration on the quintic cells: stop once no step
 # moves by more than this fraction of a cell
@@ -215,7 +223,7 @@ def _query_sums(terms, first, counts):
 
 def smoothed_cdf_eval(sc: SmoothedCdf, x):
     """(1/N) sum_j Phi((x - x_j)/sigma), vectorized over x."""
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    x_arr = np.atleast_1d(_check_cdf_arg(x))
     out = _ragged_window_eval(sc.centers.positions, sc.sigma, x_arr)
     return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
@@ -285,9 +293,8 @@ def _solve_nodes(centers, sigma, targets, x, tol) -> np.ndarray:
                 act = np.setdiff1d(act, run[narrow], assume_unique=True)
         else:
             xa, w = x[act], targets[act]
-            # two window sums, not one over both probe sets, halve the peak memory
-            f_lo = _ragged_window_eval(centers, sigma, xa - half)
-            f_hi = _ragged_window_eval(centers, sigma, xa + half)
+            probes = np.concatenate([xa - half, xa + half])
+            f_lo, f_hi = np.split(_ragged_window_eval(centers, sigma, probes), 2)
             done = (f_lo <= w) & (w <= f_hi)
             lo[act] = la = np.where(f_hi <= w, xa + half, lo[act])
             hi[act] = ha = np.where(f_lo > w, xa - half, hi[act])
@@ -298,27 +305,16 @@ def _solve_nodes(centers, sigma, targets, x, tol) -> np.ndarray:
 
 
 def _next_fast_len(n: int) -> int:
-    """The least 11-smooth integer >= n, the length pocketfft transforms
-    fastest (what ``scipy.fft.next_fast_len`` returns): for each product f
-    of powers of 3, 5, 7 and 11 below the best length so far, the least
-    power-of-2 multiple of f that reaches n."""
-    best = 1 << max(n - 1, 0).bit_length()
-    f11 = 1
-    while f11 < best:
-        f7 = f11
-        while f7 < best:
-            f5 = f7
-            while f5 < best:
-                f3 = f5
-                while f3 < best:
-                    x = f3 << (-(-n // f3) - 1).bit_length()
-                    if x < best:
-                        best = x
-                    f3 *= 3
-                f5 *= 5
-            f7 *= 7
-        f11 *= 11
-    return best
+    """The least 11-smooth integer >= n >= 1, the length pocketfft
+    transforms fastest (what ``scipy.fft.next_fast_len`` returns)."""
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 def _grid_cdf_table(centers, sigma):

@@ -124,3 +124,36 @@ def test_selftest_passes(capsys):
     assert "FAIL" not in out and "pass" in out
     assert "pass  entropy screen" in out
     assert "pass  heat table accuracy" in out
+
+
+@pytest.mark.parametrize("override", ["p_list=1\n2", "output=out\nINJECTED,1,2", "seed=1\u20282"])
+def test_override_with_a_line_break_exits_one(override, config_file, tmp_path, capsys, monkeypatch):
+    # the value was echoed into the CSV's '#' block, where its second line
+    # read as a header or a data row
+    monkeypatch.chdir(tmp_path)
+    out_path = tmp_path / "result.csv"
+    argv = ["run", str(config_file), "--set", override, "--set", f"output={out_path}"]
+    assert main(argv) == 1
+    assert "config error: override" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config_file]
+
+
+def test_value_error_outside_the_config_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("kind = convergence_study\nn_particles = 16\n")
+    assert main(["run", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: no exact oracle") and "'random(7)'" in captured.err
+    assert captured.out == ""
+
+
+def test_selftest_failure_exits_two(monkeypatch, capsys):
+    import claw.selftest
+
+    checks = list(claw.selftest.CHECKS)
+    checks[0] = (checks[0][0], lambda: "forced failure")
+    monkeypatch.setattr(claw.selftest, "CHECKS", checks)
+    assert main(["selftest"]) == 2
+    captured = capsys.readouterr()
+    assert f"FAIL  {checks[0][0]}: forced failure" in captured.out
+    assert "1 invariant check(s) failed" in captured.err

@@ -224,7 +224,7 @@ class TestLcg:
         assert 0.4 < np.mean(us) < 0.6
 
 
-@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**64 - 1])
 @pytest.mark.parametrize("count", [0, 1, 2, 17, 4097])
 def test_lcg_floats_match_successive_draws(seed, count):
     rng = Lcg64(seed)
@@ -309,9 +309,26 @@ def test_integer_keys_reject_float_spellings(line):
         parse_config(line + "\n" + MINIMAL)
 
 
-def test_negative_integers_reach_the_range_checks():
-    with pytest.raises(ConfigError, match="at least 1"):
-        parse_config("n_particles = -3\n" + MINIMAL)
+@pytest.mark.parametrize(
+    "line, match",
+    [
+        pytest.param(line, match, id=line.split("\n")[-1])
+        for line, match in [
+            ("n_particles = -3", "'n_particles': must be at least 1"),
+            ("h =", "'h': needs at least one value"),
+            ("h = abc", "'h': cannot parse 'abc' as numbers"),
+            ("t_final = -1", "'t_final': must be nonnegative"),
+            ("t_final = 1 2", "'t_final': expected a single number"),
+            ("p_list = 0.5", "'p_list': needs orders p >= 1"),
+            ("n_times = 1", "'n_times': need at least 2 sample times"),
+            ("nu = -1", "'nu': must be nonnegative"),
+            ("[initial_a]\npreset = dirac(", "'initial_a.preset': cannot parse 'dirac\\('"),
+        ]
+    ],
+)
+def test_values_out_of_range_are_config_errors(line, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config(MINIMAL.replace("[flux]", f"{line}\n[flux]"))
 
 
 @pytest.mark.parametrize(

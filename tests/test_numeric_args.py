@@ -15,6 +15,7 @@ from claw.measures import (
     MixtureState,
     ParticleQuantiles,
     StepCdf,
+    eval_cdf,
     generalized_inverse,
     midpoint_nodes,
     moment,
@@ -138,6 +139,12 @@ def test_values_that_slipped_through_are_rejected():
         viscous_trajectory(PQ, BURGERS, -0.1, 0.1, [0.0])  # math domain error
     with pytest.raises(ValueError, match="sigma must be a number, got None"):
         heat_resample(PQ, None)  # raised TypeError
+    cdfs = (StepCdf([0.0, 1.0], [0.5, 1.0]), MixtureState(PQ, PQ, 0.5), SmoothedCdf(PQ, 0.5))
+    for cdf in cdfs:
+        with pytest.raises(ValueError, match="CDF argument x"):
+            cdf(np.nan)  # returned 1.0
+    with pytest.raises(ValueError, match="CDF argument x"):
+        eval_cdf(PQ, [0.0, np.nan])
 
 
 def test_inline_linear_speed_is_checked():
