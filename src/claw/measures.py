@@ -169,15 +169,25 @@ class MixtureState:
         return eval_cdf(self, x)
 
 
+def _numeric_array(value, what: str) -> np.ndarray:
+    """``value`` as a float array, once it is a number or an array of
+    numbers: a str, bytes or bool, or an array of any dtype but integer or
+    float, is not taken as one."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return arr.astype(float, copy=False)
+
+
 def _check_quantile_arg(w) -> np.ndarray:
-    w_arr = np.asarray(w, dtype=float)
+    w_arr = _numeric_array(w, "quantile argument")
     if not ((w_arr > 0.0) & (w_arr < 1.0)).all():
         raise ValueError(f"quantile argument must lie strictly in (0, 1), got {w}")
     return w_arr
 
 
 def _check_cdf_arg(x) -> np.ndarray:
-    x_arr = np.asarray(x, dtype=float)
+    x_arr = _numeric_array(x, "CDF argument x")
     if np.isnan(x_arr).any():
         raise ValueError(f"CDF argument x must not be NaN, got {x}")
     return x_arr

@@ -8,7 +8,13 @@ import claw.entropy
 from claw.config import build_initial
 from claw.entropy import BumpFamily, entropy_residual, entropy_residuals
 from claw.fluxes import make_builtin
-from claw.measures import ParticleQuantiles, as_step_cdf, midpoint_nodes, particles_from_cdf
+from claw.measures import (
+    ParticleQuantiles,
+    as_step_cdf,
+    midpoint_nodes,
+    particles_from_cdf,
+    quantile_staircase,
+)
 from claw.scheme import classical_characteristics, exact_shock_cdf, sh_as_cdf, sh_trajectory
 
 concave = make_builtin("concave_quadratic")
@@ -86,13 +92,23 @@ def test_level_outside_unit_interval_rejected(controls):
     "ks", [[0.5, 1.5], [-0.1], [float("nan")], [0.2, float("inf")], [[0.5]], 0.5]
 )
 def test_levels_checked_before_any_geometry(controls, monkeypatch, ks):
-    def fail(states):
+    def fail(state):
         raise AssertionError("staircases built before the levels were checked")
 
-    monkeypatch.setattr(claw.entropy, "_padded_staircases", fail)
+    monkeypatch.setattr(claw.entropy, "quantile_staircase", fail)
     shock, _, _ = controls
     with pytest.raises(ValueError, match="entropy level"):
         entropy_residuals(shock, concave, ks)
+
+
+def test_zero_width_x_range_rejected():
+    # every snapshot one atom and no padding: the x-bumps had radius 0 and
+    # the screen returned NaN with a RuntimeWarning
+    states = [(t, ParticleQuantiles([0.0, 0.0])) for t in (0.0, 0.5, 1.0)]
+    with pytest.raises(ValueError, match="x-range .* zero width"):
+        entropy_residuals(states, burgers, [0.5], BumpFamily(pad_x=0.0))
+    # padding widens the same atom into a range the bumps fit
+    assert np.all(np.isfinite(entropy_residuals(states, burgers, [0.5], BumpFamily(pad_x=0.1))))
 
 
 @pytest.mark.parametrize(
@@ -128,19 +144,32 @@ def test_custom_family_still_detects(controls):
     assert worst > 0.01
 
 
-def test_screen_memory_does_not_grow_with_bumps():
-    # the benchmark's entropy job: 65 snapshots of an N = 1024 Burgers
-    # trajectory, 11 levels; the stacked per-bump geometry peaked at 78 MB
+def screen_peak(n_times):
+    """tracemalloc peak of screening n_times snapshots of an N = 1024
+    Burgers trajectory at 11 levels."""
     a0 = build_initial({"preset": "random(50000)"}, 1024)
-    times = np.linspace(0.0, 1.0, 65)
+    times = np.linspace(0.0, 1.0, n_times)
     states = [(t, sh_as_cdf(s)) for t, s in zip(times, sh_trajectory(a0, burgers, 0.01, times))]
     tracemalloc.start()
     try:
         entropy_residuals(states, burgers, np.linspace(0.0, 1.0, 11))
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 40e6
+
+
+def test_screen_memory_does_not_grow_with_bumps():
+    # the benchmark's entropy job, 65 snapshots: 3.6 MB, bound 40% above.
+    # (snapshots x pieces) arrays for every bump peaked at 9.9 MB, and the
+    # stacked per-bump geometry before them at 78 MB
+    assert screen_peak(65) <= 5.0e6
+
+
+def test_screen_memory_does_not_grow_with_snapshots():
+    # the staircases and the integrals grow with the snapshots, a block of
+    # them does not: 10.7 MB at 257 snapshots, bound 30% above, where
+    # (snapshots x pieces) arrays peaked at 39.1 MB
+    assert screen_peak(257) <= 14.0e6
 
 
 # Reference: the screen evaluated the direct way.  The antiderivative is in
@@ -256,3 +285,24 @@ def test_residuals_match_direct_evaluation(trajectory, grid, data):
     # deduplicated CDFs is the same bits
     deduplicated = [(t, as_step_cdf(state)) for t, state in states]
     assert np.array_equal(got, entropy_residuals(deduplicated, flux, ks, grid))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+def test_blocks_of_snapshots_give_the_same_bits(monkeypatch, rows):
+    # 65 snapshots in blocks of 1, 2 and 7 rows (the last block short),
+    # against one block, which the default budget gives at N = 48;
+    # deduplicated StepCdfs between mixtures give staircases of different
+    # widths, so padding crosses the block edges
+    a0 = build_initial({"preset": "random(4242)"}, 48)
+    times = np.linspace(0.0, 1.0, 65)
+    mixtures = [sh_as_cdf(s) for s in sh_trajectory(a0, concave, 0.05, times)]
+    states = [(t, as_step_cdf(m) if i % 3 else m) for i, (t, m) in enumerate(zip(times, mixtures))]
+    widths = {quantile_staircase(state)[1].size for _, state in states}
+    assert len(widths) > 1
+    ks = np.linspace(0.0, 1.0, 11)
+    grid = BumpFamily(pad_x=0.3)
+    whole = entropy_residuals(states, concave, ks, grid)
+    monkeypatch.setattr(claw.entropy, "_BLOCK_BYTES", 8 * (max(widths) + 2) * rows)
+    blocked = entropy_residuals(states, concave, ks, grid)
+    assert np.array_equal(blocked, whole)
+    assert np.all(np.abs(blocked - reference_residuals(states, concave, ks, grid)) <= 1e-13)

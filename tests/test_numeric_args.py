@@ -18,6 +18,7 @@ from claw.measures import (
     eval_cdf,
     generalized_inverse,
     midpoint_nodes,
+    mixture_quantile,
     moment,
     tail_moment,
 )
@@ -33,6 +34,7 @@ from claw.scheme import (
 from claw.viscous import (
     SmoothedCdf,
     heat_resample,
+    smoothed_cdf_eval,
     smoothed_quantile,
     viscous_step,
     viscous_trajectory,
@@ -145,6 +147,60 @@ def test_values_that_slipped_through_are_rejected():
             cdf(np.nan)  # returned 1.0
     with pytest.raises(ValueError, match="CDF argument x"):
         eval_cdf(PQ, [0.0, np.nan])
+
+
+# entry point taking a CDF point or quantile level -> (call with it set to
+# v, name in the message)
+POINTS = {
+    "eval_cdf x": (lambda v: eval_cdf(PQ, v), "CDF argument x"),
+    "StepCdf x": (lambda v: StepCdf([0.0, 1.0], [0.5, 1.0])(v), "CDF argument x"),
+    "MixtureState x": (lambda v: MixtureState(PQ, PQ, 0.5)(v), "CDF argument x"),
+    "SmoothedCdf x": (lambda v: SmoothedCdf(PQ, 0.5)(v), "CDF argument x"),
+    "smoothed_cdf_eval x": (lambda v: smoothed_cdf_eval(SmoothedCdf(PQ, 0.5), v), "CDF argument x"),
+    "generalized_inverse w": (lambda v: generalized_inverse(PQ, v), "quantile argument"),
+    "mixture_quantile w": (lambda v: mixture_quantile(MixtureState(PQ, PQ, 0.5), v), "quantile argument"),
+    "smoothed_quantile w": (
+        lambda v: smoothed_quantile(SmoothedCdf(PQ, 0.5), v), "quantile argument"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "arg, value",
+    [
+        pytest.param(arg, value, id=f"{arg}={value!r}")
+        for arg in POINTS
+        for value in (
+            "0.5",
+            b"0.5",
+            True,
+            np.True_,
+            np.array([0.5, True]) > 0,
+            np.array(["0.5"]),
+            [0.25, "0.5"],
+            np.array([0.5], dtype=object),
+            0.5 + 0.0j,
+        )
+    ],
+)
+def test_points_that_are_not_numbers_are_rejected(arg, value):
+    # eval_cdf(PQ, "0.5") returned 0.5, eval_cdf(PQ, True) 1.0 and
+    # generalized_inverse(PQ, "0.3") 0.0
+    call, name = POINTS[arg]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{name} must be a number, got "):
+            call(value)
+
+
+@pytest.mark.parametrize("arg", POINTS)
+def test_integer_and_float_points_are_accepted(arg):
+    call, name = POINTS[arg]
+    points = (np.float32(0.25), np.float64(0.5))
+    if name == "CDF argument x":
+        points += (0, np.uint8(1), [-1, 0.5])
+    for value in points:
+        call(value)
 
 
 def test_inline_linear_speed_is_checked():
