@@ -11,30 +11,44 @@ bump phi is
 which is nonpositive for an entropy-admissible trajectory.  States are
 piecewise constant in x, so the space integrals are evaluated exactly from
 the bump's closed-form antiderivative; time is integrated by the trapezoid
-rule over the given snapshots.  States are read as quantile staircases;
-tied positions give pieces of zero width, which add exactly 0, so the
-result is that of the deduplicated CDFs bit for bit.  This is a
-necessary-condition screen (a clearly positive residual certifies
-inadmissibility), not a proof of admissibility; its noise floor shrinks
-with the particle count and the snapshot spacing of the supplied states.
+rule over the given snapshots.  States are read as quantile staircases
+with each run of tied positions merged into its last level, as
+``as_step_cdf`` merges it, so the result is that of the deduplicated CDFs
+bit for bit.  This is a necessary-condition screen (a clearly positive
+residual certifies inadmissibility), not a proof of admissibility; its
+noise floor shrinks with the particle count and the snapshot spacing of
+the supplied states.
 
 The space integrals are computed in one pass over the x-bumps, for every
 level at once.  Each snapshot's levels are nondecreasing in x, so for a
-level k the signs of L - k split a snapshot's pieces at the count of levels
-below k: pieces left of the split enter every integral with sign -1, the
-rest with +1 (a piece with L = k contributes 0 on either side).  A prefix
-sum over the pieces of one x-bump therefore gives the integrals for all
-levels.
+level k the signs of L - k split a snapshot's pieces at the count S of
+levels below k: pieces left of the split enter every integral with sign
+-1, the rest with +1 (a piece with L = k contributes 0 on either side).
+An integral therefore needs the weighted sum of the pieces left of each
+split and of all pieces.  With P_e the bump's antiderivative (or value) at
+edge e, P_0 = 0 left of the first edge, and v_p the level L (or f(L)) of
+piece p, summation by parts gives
+
+    sum_{p<S} (P_{p+1} - P_p) v_p = P_S v_{S-1} - sum_{1<=e<S} P_e (v_e - v_{e-1}).
+
+The splits and the jumps v_e - v_{e-1} do not depend on the bump.  Per
+bump, one ``np.add.reduceat`` sums P times the jumps between consecutive
+splits of every row, and a cumulative sum over these levels + 1 segment
+sums gives the sums left of every split and over all edges; no running sum
+over the edges is built.  Segment sums are pairwise, so pieces of zero
+width would change their rounding: merging tied positions first keeps a
+state and its deduplicated CDF the same bits.
 
 The snapshots are screened in blocks of consecutive rows, each block
 running every x-bump before the next block is padded.  A block holds as
-many snapshots as fit its (rows x pieces + 1) prefix table in
-``_BLOCK_BYTES`` (at least one), so a bump's working arrays stay in a core's
-L2 cache, and working memory beyond the staircases and the (levels x bumps x
-snapshots) integrals is a few such arrays, whatever the number of
-snapshots, bumps or levels.  Every row is padded to the widest staircase
-and its arithmetic does not depend on the block holding it, so the result
-is the same bits for any block size.
+many snapshots as fit its largest per-bump array, the (2, rows, edges)
+weights of E and F, in ``_BLOCK_BYTES`` (at least one), so a bump's working
+arrays stay in a core's L2 cache, and working memory beyond the staircases
+and the (levels x bumps x snapshots) integrals is a few such arrays,
+whatever the number of snapshots, bumps or levels.  Every row is padded to
+the widest deduplicated staircase of the trajectory, and its arithmetic,
+segment sums included, does not depend on the block holding it, so the
+result is the same bits for any block size.
 """
 
 from __future__ import annotations
@@ -78,12 +92,15 @@ class BumpFamily:
 
 
 _ANTI_EDGE = 1.0 - 1.0 + 0.6 - 1.0 / 7.0  # antiderivative of the bump at s=1
-# bytes of a block's (rows, pieces + 1) prefix table (module docstring): 7
-# rows at N = 1024.  The benchmark's entropy job (65 snapshots, N = 1024,
-# 11 levels; 2-core Xeon, 2 MiB of L2 per core, median of 9) took 72 ms at
-# 128 and 256 KiB, 84 ms at 64 KiB, 88 ms at 512 KiB, 127 ms at 1 MiB and
-# 132 ms with all 65 snapshots in one block
-_BLOCK_BYTES = 128 * 1024
+# bytes of a block's (2, rows, edges) weights, its largest per-bump array
+# (module docstring): 6 rows at N = 1024.  The benchmark's entropy job (65
+# snapshots, N = 1024, 11 levels; 2-core Xeon, 2 MiB of L2 per core, median
+# of 31 interleaved calls) took 47 ms at 96 KiB, 41 ms at 128 KiB and 38-39
+# ms at 160, 192 and 256 KiB; in a second set of 15 calls, 57 ms at 64 KiB,
+# 44 ms at 512 KiB and 1 MiB, and 52 ms with all 65 snapshots in one block.
+# The screen's tracemalloc peak at 65 and 257 snapshots is 3.15 and 10.28 MB
+# at 128 KiB, 3.44 and 10.58 MB at 192 KiB, and 3.73 and 10.87 MB at 256 KiB
+_BLOCK_BYTES = 192 * 1024
 
 
 def _bump(s):
@@ -96,13 +113,6 @@ def _bump_deriv(s):
     return -6.0 * s * q * q
 
 
-def _bump_antideriv(s):
-    """Integral of (1-s^2)^3 from -1 to s, flat outside the support."""
-    s = np.clip(s, -1.0, 1.0)
-    s2 = s * s
-    return s * (1.0 + s2 * (-1.0 + s2 * (0.6 - s2 / 7.0))) + _ANTI_EDGE
-
-
 def _checked_levels(ks) -> np.ndarray:
     ks = np.asarray(ks, dtype=float)
     if ks.ndim != 1:
@@ -113,12 +123,20 @@ def _checked_levels(ks) -> np.ndarray:
     return ks
 
 
+def _deduplicated_staircase(state):
+    """Quantile staircase of ``state`` with the last level of each run of
+    tied positions, as ``as_step_cdf`` keeps it."""
+    levels, positions = quantile_staircase(state)
+    last = np.append(positions[1:] != positions[:-1], True)
+    return levels[last], positions[last]
+
+
 def _padded_block(stairs, width):
     """Edge and level matrices of a block of quantile staircases, padded to
     ``width`` edges.
 
-    Padding repeats the last edge, so the padded pieces have zero width and
-    drop out of every integral; levels get the final value 1.
+    Padding repeats the last edge and the final level 1, so the padded
+    edges carry no jump; the level left of the first edge is 0.
     """
     edges = np.empty((len(stairs), width))
     levels = np.ones((len(stairs), width + 1))
@@ -131,18 +149,78 @@ def _padded_block(stairs, width):
     return edges, levels
 
 
-def _split_sums(prefix, values, flat_split, shifts, weighted):
-    """For every level k and snapshot t, the sum over pieces p of
-    sign(L_tp - k) * w_tp * (values_tp - shifts_k), where w = diff(prefix)
-    are the piece weights and flat_split[k, t] indexes the split of row t
-    in the raveled prefix table.  ``weighted`` is a work array shaped like
-    ``prefix`` whose first column is 0."""
-    np.cumsum(np.diff(prefix, axis=1) * values, axis=1, out=weighted[:, 1:])
-    below = prefix.ravel()[flat_split]
-    below_weighted = weighted.ravel()[flat_split]
-    return (weighted[:, -1] - 2.0 * below_weighted) - shifts[:, None] * (
-        prefix[:, -1] - 2.0 * below
-    )
+def _block_geometry(stairs, width, flux, ks):
+    """What the x-bumps need of a block of staircases: the (rows, width)
+    edges, the (2, rows, width) jumps of L and f(L) at the edges, the
+    (rows, levels) splits at the ascending levels ``ks``, and the (2, rows,
+    levels) values of L and f(L) on the piece left of each split."""
+    edges, levels = _padded_block(stairs, width)
+    values = np.stack([levels, flux.value(levels)])  # (2, rows, width + 1)
+    # rows of levels are nondecreasing, so the pieces with L < k are the
+    # first split[t, k] of row t
+    split = np.stack([np.searchsorted(row, ks, side="left") for row in levels])
+    left = np.broadcast_to(np.maximum(split - 1, 0), (2,) + split.shape)
+    return edges, np.diff(values, axis=2), split, np.take_along_axis(values, left, 2)
+
+
+def _block_integrals(edges, jumps, split, below_values, x_bumps, totals, shifts):
+    """Space integrals of E and F against every x-bump for one block of
+    rows, as a (2, levels, bumps, rows) array, from ``_block_geometry``.
+
+    Each weight array (rx times the antiderivative at the edges, or the
+    bump at the edges) is summed against the jumps between the sorted
+    splits of each row (module docstring).  A split at 0 has no piece or
+    edge left of it.
+    """
+    (rows, width), n_ks = edges.shape, split.shape[1]
+    row_start = width * np.arange(2 * rows).reshape(2, rows, 1)
+    # flat index of the edge closing the pieces left of each split
+    split_edge = row_start + np.maximum(split - 1, 0)
+    # segments: from each row's first edge to its first split, between
+    # consecutive splits, and from its last split to its last edge
+    seg_start = np.concatenate([row_start, split_edge], axis=2).ravel()
+    seg_empty = np.append(seg_start[1:] == seg_start[:-1], False)
+
+    seg_sums = np.empty((len(x_bumps), 2, rows, n_ks + 1))
+    at_split = np.empty((len(x_bumps), 2, rows, n_ks))
+    s = np.empty_like(edges)
+    s2 = np.empty_like(edges)
+    weights = np.empty_like(jumps)
+    anti, psi = weights
+    for b, (rx, xc) in enumerate(x_bumps):
+        np.subtract(edges, xc, out=s)
+        s /= rx
+        np.clip(s, -1.0, 1.0, out=s)
+        np.multiply(s, s, out=s2)
+        # rx times the antiderivative, in Horner form with rx folded into
+        # the coefficients, and the bump (1 - s^2)^3
+        np.multiply(s2, -rx / 7.0, out=anti)
+        anti += 0.6 * rx
+        anti *= s2
+        anti -= rx
+        anti *= s2
+        anti += rx
+        anti *= s
+        anti += _ANTI_EDGE * rx
+        np.subtract(1.0, s2, out=psi)
+        np.multiply(psi, psi, out=s2)
+        psi *= s2
+        at_split[b] = weights.ravel()[split_edge]
+        weights *= jumps
+        sums = np.add.reduceat(weights.ravel(), seg_start)
+        sums[seg_empty] = 0.0
+        np.cumsum(sums.reshape(seg_sums.shape[1:]), axis=2, out=seg_sums[b])
+
+    # summation by parts: the weighted sum of the pieces left of a split is
+    # the weight at the split (P_0 = 0 at a split at 0) times the value left
+    # of it, less the sum of weight times jump over the edges before it.
+    # Over all pieces the weight right of the last edge is ``totals``: the
+    # bump's integral 2 * _ANTI_EDGE * rx against L, whose last level is 1,
+    # and 0 against f(L)
+    at_split *= split > 0
+    below = at_split * below_values - seg_sums[..., :n_ks]
+    whole = totals - seg_sums[..., n_ks:]
+    return ((whole - 2.0 * below) - shifts * (totals - 2.0 * at_split)).transpose(1, 3, 0, 2)
 
 
 def entropy_residuals(states, flux: FluxModel, ks, grid: BumpFamily | None = None) -> np.ndarray:
@@ -162,7 +240,7 @@ def entropy_residuals(states, flux: FluxModel, ks, grid: BumpFamily | None = Non
     dts = np.diff(times)
     if np.any(dts <= 0) or not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
         raise ValueError("snapshots must be at uniformly spaced increasing times")
-    stairs = [quantile_staircase(state) for _, state in states]
+    stairs = [_deduplicated_staircase(state) for _, state in states]
     x_min = min(pos[0] for _, pos in stairs) - grid.pad_x
     x_max = max(pos[-1] for _, pos in stairs) + grid.pad_x
     if not x_max > x_min:
@@ -171,43 +249,32 @@ def entropy_residuals(states, flux: FluxModel, ks, grid: BumpFamily | None = Non
             f" at {x_min:g} and BumpFamily.pad_x = {grid.pad_x:g} does not widen it"
         )
     t0, t1 = times[0], times[-1]
-    f_ks = flux.value(ks)
 
     x_bumps = []
     for rx_frac in grid.radii_x:
         rx = rx_frac * (x_max - x_min)
         x_bumps += [(rx, xc) for xc in np.linspace(x_min + rx, x_max - rx, grid.n_centers_x)]
+    n_bumps, n_ks = len(x_bumps), ks.size
+    # the levels in ascending order, so every row's splits ascend too
+    order = np.argsort(ks, kind="stable")
+    sorted_ks = ks[order]
+    # per (bump, E or F): the piece weights summed over all pieces; per
+    # (E or F, level): the shift k or f(k)
+    totals = np.zeros((n_bumps, 2, 1, 1))
+    totals[:, 0, 0, 0] = [2.0 * _ANTI_EDGE * rx for rx, _ in x_bumps]
+    shifts = np.stack([sorted_ks, flux.value(sorted_ks)])[:, None, :]
 
-    # space integrals per (level, x-bump, snapshot): E against the bump and
-    # F against its x-derivative, exact on the piecewise-constant states,
-    # for one block of snapshot rows at a time (module docstring)
-    e_int = np.empty((ks.size, len(x_bumps), times.size))
-    f_int = np.empty_like(e_int)
-    width = max(pos.size for _, pos in stairs)  # edges; a row has width + 1 pieces
-    n_rows = max(1, _BLOCK_BYTES // (8 * (width + 2)))
+    # space integrals per (E or F, level, x-bump, snapshot): E against the
+    # bump and F against its x-derivative, exact on the piecewise-constant
+    # states, for one block of snapshot rows at a time (module docstring)
+    integrals = np.empty((2, n_ks, n_bumps, times.size))
+    width = max(pos.size for _, pos in stairs)
+    n_rows = max(1, _BLOCK_BYTES // (16 * width))
     for r0 in range(0, times.size, n_rows):
-        block = stairs[r0 : r0 + n_rows]
-        edges, levels = _padded_block(block, width)
-        f_levels = flux.value(levels)
-        # rows of levels are nondecreasing, so the pieces with L < k are a
-        # prefix of each row; flat_split[k, t] is its length, offset into
-        # row t of the raveled (rows, pieces + 1) prefix table
-        split = np.stack([np.searchsorted(row, ks, side="left") for row in levels], axis=1)
-        flat_split = split + (width + 2) * np.arange(len(block))
-        # prefix table, reused by every bump: 0 before the first piece, the
-        # bump's integral (or value) at the edges and its total (or 0) after
-        # the last piece
-        prefix = np.zeros((len(block), width + 2))
-        weighted = np.zeros_like(prefix)
-        rows = slice(r0, r0 + len(block))
-        for b, (rx, xc) in enumerate(x_bumps):
-            s = (edges - xc) / rx
-            prefix[:, 1:-1] = _bump_antideriv(s) * rx
-            prefix[:, -1] = 2.0 * _ANTI_EDGE * rx
-            e_int[:, b, rows] = _split_sums(prefix, levels, flat_split, ks, weighted)
-            prefix[:, 1:-1] = _bump(s)
-            prefix[:, -1] = 0.0
-            f_int[:, b, rows] = _split_sums(prefix, f_levels, flat_split, f_ks, weighted)
+        rows = slice(r0, r0 + n_rows)
+        geometry = _block_geometry(stairs[rows], width, flux, sorted_ks)
+        integrals[:, order, :, rows] = _block_integrals(*geometry, x_bumps, totals, shifts)
+    e_int, f_int = integrals
 
     # time bump samples, trapezoid weights folded in
     wt = np.full(times.size, dts[0])

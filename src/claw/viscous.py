@@ -336,7 +336,14 @@ def _grid_cdf_table(centers, sigma):
     # that grows with their count into F (1.1e-13 for 8192 atoms)
     u = (centers - x0) / delta
     cell = np.floor(u)
-    weights = np.vander(u - cell - 0.5, 8, increasing=True) @ _BSPLINE
+    # the powers 0..7 of each atom's offset, one row per power: the same
+    # products as np.vander, whose accumulate along the short axis is slow
+    powers = np.empty((8, n))
+    powers[0] = 1.0
+    powers[1] = u - cell - 0.5
+    for p in range(2, 8):
+        np.multiply(powers[p - 1], powers[1], out=powers[p])
+    weights = powers.T @ _BSPLINE
     first = np.flatnonzero(np.diff(cell, prepend=-1.0))
     weights = np.add.reduceat(weights, first, axis=0)
     idx = cell[first].astype(np.int64)[:, None] + np.arange(-3, 5)

@@ -312,7 +312,7 @@ def test_integer_keys_reject_float_spellings(line):
 @pytest.mark.parametrize(
     "line, match",
     [
-        pytest.param(line, match, id=line.split("\n")[-1])
+        pytest.param(line, match, id=line.split("\n")[-1][:40])
         for line, match in [
             ("n_particles = -3", "'n_particles': must be at least 1"),
             ("h =", "'h': needs at least one value"),
@@ -323,6 +323,8 @@ def test_integer_keys_reject_float_spellings(line):
             ("n_times = 1", "'n_times': need at least 2 sample times"),
             ("nu = -1", "'nu': must be nonnegative"),
             ("[initial_a]\npreset = dirac(", "'initial_a.preset': cannot parse 'dirac\\('"),
+            # beyond Python's digit limit for int(); the id keeps its first 40 characters
+            ("n_particles = " + "7" * 5000, "'n_particles': Exceeds the limit"),
         ]
     ],
 )

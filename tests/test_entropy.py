@@ -159,17 +159,17 @@ def screen_peak(n_times):
 
 
 def test_screen_memory_does_not_grow_with_bumps():
-    # the benchmark's entropy job, 65 snapshots: 3.6 MB, bound 40% above.
+    # the benchmark's entropy job, 65 snapshots: 3.44 MB, bound 40% above.
     # (snapshots x pieces) arrays for every bump peaked at 9.9 MB, and the
     # stacked per-bump geometry before them at 78 MB
-    assert screen_peak(65) <= 5.0e6
+    assert screen_peak(65) <= 4.8e6
 
 
 def test_screen_memory_does_not_grow_with_snapshots():
     # the staircases and the integrals grow with the snapshots, a block of
-    # them does not: 10.7 MB at 257 snapshots, bound 30% above, where
+    # them does not: 10.58 MB at 257 snapshots, bound 30% above, where
     # (snapshots x pieces) arrays peaked at 39.1 MB
-    assert screen_peak(257) <= 14.0e6
+    assert screen_peak(257) <= 13.8e6
 
 
 # Reference: the screen evaluated the direct way.  The antiderivative is in

@@ -35,6 +35,10 @@ class TestBuiltins:
         with pytest.raises(ValueError):
             make_builtin("burgers", c=1.0)
 
+    def test_parameter_given_twice(self):
+        with pytest.raises(ValueError, match="both inline and as argument"):
+            make_builtin("linear(1)", c=2.0)
+
     def test_domain_enforced(self):
         with pytest.raises(ValueError, match="outside"):
             make_builtin("burgers").value(1.5)
@@ -87,6 +91,20 @@ class TestTabulated:
     def test_rejects_not_spanning(self):
         with pytest.raises(ValueError, match="span"):
             make_tabulated([(0.1, 0.0), (0.5, 0.2), (1.0, 0.5)])
+
+    @pytest.mark.parametrize(
+        "samples, match",
+        [
+            ([0.0, 0.5, 1.0], "pairs"),
+            ([(0.0, 0.0, 0.0), (0.5, 0.1, 0.0), (1.0, 0.5, 0.0)], "pairs"),
+            ([(0.0, 0.0), (0.5, np.nan), (1.0, 0.5)], "finite"),
+            ([(0.0, 0.0), (0.5, 0.1), (np.inf, 0.5)], "finite"),
+        ],
+        ids=["flat-list", "triples", "nan-value", "inf-u"],
+    )
+    def test_rejects_malformed_samples(self, samples, match):
+        with pytest.raises(ValueError, match=match):
+            make_tabulated(samples)
 
     def test_rejects_too_few_samples(self):
         with pytest.raises(ValueError, match="3 samples"):

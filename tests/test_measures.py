@@ -14,6 +14,7 @@ from claw.measures import (
     mixture_quantile,
     moment,
     particles_from_cdf,
+    quantile_staircase,
     tail_moment,
 )
 
@@ -50,6 +51,21 @@ class TestStepCdfValidation:
     def test_immutable(self):
         with pytest.raises(ValueError):
             heaviside.breakpoints[0] = 3.0
+
+    @pytest.mark.parametrize(
+        "breakpoints, values, match",
+        [
+            ([], [], "at least one breakpoint"),
+            ([0.0, 1.0], [1.0], "disagree in length"),
+            ([0.0, 1.0], [np.nan, 1.0], "values must be finite"),
+            ([0.0, 1.0], [-0.5, 1.0], r"values must lie in \[0, 1\]"),
+            ([0.0, 1.0], [0.5, 1.5], r"values must lie in \[0, 1\]"),
+        ],
+        ids=["empty", "length-mismatch", "nan-value", "value-below-0", "value-above-1"],
+    )
+    def test_rejects_bad_arrays(self, breakpoints, values, match):
+        with pytest.raises(ValueError, match=match):
+            StepCdf(breakpoints, values)
 
 
 class TestParticleQuantilesValidation:
@@ -229,6 +245,21 @@ class TestMixtureQuantile:
     def test_weight_one_rejected(self):
         with pytest.raises(ValueError):
             MixtureState(ParticleQuantiles([0.0]), ParticleQuantiles([1.0]), 1.0)
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: MixtureState(heaviside, ParticleQuantiles([1.0]), 0.5), "must be ParticleQuantiles"),
+        (lambda: MixtureState(ParticleQuantiles([1.0]), [1.0], 0.5), "must be ParticleQuantiles"),
+        (lambda: quantile_staircase(np.array([0.0, 1.0])), "cannot view ndarray"),
+        (lambda: quantile_staircase(None), "cannot view NoneType"),
+    ],
+    ids=["mixture-of-step-cdf", "mixture-of-list", "staircase-of-array", "staircase-of-none"],
+)
+def test_wrong_types_are_type_errors(build, match):
+    with pytest.raises(TypeError, match=match):
+        build()
 
 
 def test_as_step_cdf_mixture_last_value_exact():

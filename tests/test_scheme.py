@@ -64,6 +64,23 @@ class TestCollapse:
     def test_sorts(self):
         assert collapse(RawPositions([0.3, 0.1, 0.2])).positions.tolist() == [0.1, 0.2, 0.3]
 
+    def test_raw_positions_count(self):
+        assert RawPositions([0.3, 0.1, 0.2]).n == 3
+
+    @pytest.mark.parametrize(
+        "positions, match",
+        [
+            ([], "nonempty 1-d"),
+            ([[0.0, 1.0], [2.0, 3.0]], "nonempty 1-d"),
+            ([0.0, np.nan], "finite"),
+            ([np.inf, 0.0], "finite"),
+        ],
+        ids=["empty", "2-d", "nan", "inf"],
+    )
+    def test_raw_positions_rejected(self, positions, match):
+        with pytest.raises(ValueError, match=match):
+            RawPositions(positions)
+
     def test_sorted_input_unchanged(self, random_pq):
         pq = random_pq(2)
         assert np.array_equal(collapse(RawPositions(pq.positions)).positions, pq.positions)
@@ -145,6 +162,7 @@ class TestEvolveSh:
         state = evolve_sh(pq, burgers, 0.2, 0.5)
         assert state.steps_taken == 2
         assert state.s == pytest.approx(0.5)
+        assert state.time == pytest.approx(0.5)
         two = th_step(th_step(pq, burgers, 0.2), burgers, 0.2)
         assert np.array_equal(state.base.positions, two.positions)
         assert np.array_equal(state.next.positions, th_step(two, burgers, 0.2).positions)
