@@ -62,10 +62,9 @@ class TestTransport:
 
 class TestCollapse:
     def test_sorts(self):
-        assert collapse(RawPositions([0.3, 0.1, 0.2])).positions.tolist() == [0.1, 0.2, 0.3]
-
-    def test_raw_positions_count(self):
-        assert RawPositions([0.3, 0.1, 0.2]).n == 3
+        raw = RawPositions([0.3, 0.1, 0.2])
+        assert raw.n == 3
+        assert collapse(raw).positions.tolist() == [0.1, 0.2, 0.3]
 
     @pytest.mark.parametrize(
         "positions, match",
