@@ -15,6 +15,7 @@ function, so values can be shared freely across workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,11 +126,16 @@ class ParticleQuantiles:
         pos = _frozen_array(self.positions)
         if pos.size < 1:
             raise ValueError("need at least one particle")
-        # the scheme wraps every step array, so these checks are written as
-        # the fewest numpy passes
-        if not np.isfinite(pos).all():
-            raise ValueError("positions must be finite")
-        if (pos[1:] < pos[:-1]).any():
+        # the scheme wraps every step array, so good positions pass in one
+        # comparison pass: >= is false at a NaN, and nondecreasing positions
+        # are finite when both ends are
+        if not (
+            math.isfinite(pos[0])
+            and math.isfinite(pos[-1])
+            and np.count_nonzero(pos[1:] >= pos[:-1]) == pos.size - 1
+        ):
+            if not np.isfinite(pos).all():
+                raise ValueError("positions must be finite")
             raise ValueError("positions must be nondecreasing")
         object.__setattr__(self, "positions", pos)
 
@@ -268,41 +274,48 @@ def _mixture_staircase(low: ParticleQuantiles, high: ParticleQuantiles, s: float
     ``_mixture_levels`` at weight s.  States that share the pair can share
     the merge; the levels are the same bits either way.
     """
-    merge = _mixture_merge(low, high)
+    merge = _mixture_merge(low, high, np.arange(2 * low.n))
     return _mixture_levels(merge, s), merge[2]
 
 
-def _mixture_merge(low: ParticleQuantiles, high: ParticleQuantiles):
+def _mixture_merge(low: ParticleQuantiles, high: ParticleQuantiles, k: np.ndarray):
     """The part of a mixture staircase that does not depend on s: one merge
-    of the sorted positions of two equal-size particle systems.
+    of the sorted positions of two equal-size particle systems.  ``k`` is
+    ``np.arange(2 * n)``, which a caller merging many pairs builds once.
 
     One stable argsort of [low, high] merges the two sorted runs.  Returns
     (c_lo/n, c_hi/n, merged positions), where at and left of the k-th merged
     position lie c_lo low and c_hi high particles, k + 1 in all.  The merge
     keeps each run in order, so the particle there is the c_hi-th high one
     (c_hi = order[k] - n + 1) or the c_lo-th low one (c_hi = k - order[k]);
-    no running count is needed.
+    no running count is needed.  The other formula is never the larger one:
+    it is at most 0 there, and the right one at least 0.
     """
     n = low.n
     merged = np.concatenate([low.positions, high.positions])
-    order = np.argsort(merged, kind="stable")
-    k = np.arange(2 * n)
-    c_hi = np.where(order >= n, order - (n - 1), k - order)
-    c_lo = k + 1 - c_hi
-    return c_lo / n, c_hi / n, merged[order]
+    order = merged.argsort(kind="stable")
+    c_hi = k - order
+    np.maximum(c_hi, order - (n - 1), out=c_hi)
+    c_lo = k - c_hi
+    c_lo += 1
+    return c_lo / n, c_hi / n, merged.take(order)
 
 
-def _mixture_levels(merge, s: float) -> np.ndarray:
-    """Levels (1 - s) c_lo/n + s c_hi/n of a ``_mixture_merge``.
+def _mixture_levels(merge, s: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Levels (1 - s) c_lo/n + s c_hi/n of a ``_mixture_merge``: the first
+    product is written into ``out`` (a new array when None), then the
+    second is added, so a caller that puts two staircases' levels side by
+    side in one array gets the same bits as a fresh one.
 
     Rounding is monotone in each count, so the levels are nondecreasing; at
     the last of each run of tied positions they are the mixture CDF there.
     The last level is set to exactly 1.
     """
     lo, hi, _ = merge
-    levels = (1.0 - s) * lo + s * hi
-    levels[-1] = 1.0
-    return levels
+    out = np.multiply(lo, 1.0 - s, out=out)
+    out += s * hi
+    out[-1] = 1.0
+    return out
 
 
 def as_step_cdf(obj) -> StepCdf:

@@ -9,7 +9,6 @@ the fractional part of t/h yields the time-discretized solution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +109,9 @@ def collapse(raw: RawPositions) -> ParticleQuantiles:
 
 def _step_positions(positions: np.ndarray, speeds: np.ndarray) -> np.ndarray:
     """The step kernel: move by the per-node displacements, then collapse."""
-    return np.sort(positions + speeds, kind="stable")
+    out = positions + speeds
+    out.sort(kind="stable")
+    return out
 
 
 def th_step(pq: ParticleQuantiles, flux: FluxModel, h: float) -> ParticleQuantiles:
@@ -124,18 +125,41 @@ def decompose_time(t: float, h: float) -> tuple[int, float]:
 
     A fractional part within 1e-12 of 1 rolls over to the next step so that
     step boundaries are hit deterministically despite rounding.
+    ``sh_trajectory`` splits all its times at once by the same code.
     """
     h = _checked(h, "step size h", strict=True)
-    t = _checked(t, "time t")
-    q = t / h
-    if not math.isfinite(q):
-        raise ValueError(f"t/h overflows for t={t}, h={h}")
-    n = int(math.floor(q))
-    s = q - n
-    if s >= 1.0 - _STEP_ROLL_GUARD:
-        n += 1
-        s = 0.0
+    (n,), (s,) = _decompose_times(np.array([_checked(t, "time t")]), h)
     return n, s
+
+
+def _checked_times(times) -> np.ndarray:
+    """``times`` as a 1-d float array, once each is a time ``decompose_time``
+    takes: a numeric array in one pass, anything else time by time, so a
+    string or a bool is named as ``decompose_time`` names it."""
+    if isinstance(times, np.ndarray) and times.ndim <= 1 and times.dtype.kind in "fiu":
+        arr = np.atleast_1d(times.astype(float, copy=False))
+        if np.isfinite(arr).all() and (arr >= 0.0).all():
+            return arr
+    if np.ndim(times) == 0:
+        times = [times]
+    return np.array([_checked(t, "time t") for t in times], dtype=float)
+
+
+def _decompose_times(times: np.ndarray, h: float):
+    """``decompose_time`` of every checked time at once: N as a list of
+    ints and s as a list of floats."""
+    with np.errstate(over="ignore"):
+        q = times / h
+    # the step count is an int64, which an infinite t/h does not fit either
+    too_big = ~(q < 2.0**63)
+    if too_big.any():
+        raise ValueError(f"t/h overflows for t={times[too_big][0]}, h={h}")
+    n = np.floor(q).astype(np.int64)
+    s = q - n
+    roll = s >= 1.0 - _STEP_ROLL_GUARD
+    n[roll] += 1
+    s[roll] = 0.0
+    return n.tolist(), s.tolist()
 
 
 def sh_trajectory(
@@ -150,9 +174,11 @@ def sh_trajectory(
     ``step_fn`` maps a position array to the next one; the default is the
     plain transport-collapse step with speeds frozen per node.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if times.size and np.any(np.diff(times) < 0):
+    h = _checked(h, "step size h", strict=True)
+    times = _checked_times(times)
+    if np.any(np.diff(times) < 0):
         raise ValueError("times must be ascending")
+    steps, fracs = _decompose_times(times, h)
     if step_fn is None:
         speeds = h * flux.deriv(midpoint_nodes(pq0.n))
 
@@ -165,8 +191,7 @@ def sh_trajectory(
     wrapped = {0: pq0}
     # the positions of steps k - 1 and k
     k, prev, cur = 0, None, np.asarray(pq0.positions, dtype=float)
-    for t in times:
-        n, s = decompose_time(t, h)
+    for n, s in zip(steps, fracs):
         while k <= n:
             prev, cur = cur, step_fn(cur)
             k += 1

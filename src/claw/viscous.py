@@ -344,7 +344,10 @@ def _grid_cdf_table(centers, sigma):
     for p in range(2, 8):
         np.multiply(powers[p - 1], powers[1], out=powers[p])
     weights = powers.T @ _BSPLINE
-    first = np.flatnonzero(np.diff(cell, prepend=-1.0))
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    np.not_equal(cell[1:], cell[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
     weights = np.add.reduceat(weights, first, axis=0)
     idx = cell[first].astype(np.int64)[:, None] + np.arange(-3, 5)
     spread = np.bincount(idx.ravel(), weights=weights.ravel(), minlength=m)
@@ -393,14 +396,26 @@ def _resample_grid(centers, sigma, targets, tol):
     rhs = targets - f0
     t_lo = np.zeros_like(targets)
     t_hi = np.ones_like(targets)
+    # p(t) - rhs and p'(t) by Horner, each written into one buffer
+    c5x5, c4x4, c3x3 = 5.0 * c5, 4.0 * c4, 3.0 * c3
+    resid = np.empty_like(targets)
+    slope = np.empty_like(targets)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(sec > 0.0, np.clip(rhs / sec, 0.0, 1.0), 0.5)
         for _ in range(_NEWTON_MAX_ITER):
-            resid = ((((c5 * t + c4) * t + c3) * t + c2) * t + d0) * t - rhs
+            np.multiply(c5, t, out=resid)
+            for c in (c4, c3, c2, d0):
+                resid += c
+                resid *= t
+            resid -= rhs
             below = resid <= 0.0
             t_lo = np.where(below, t, t_lo)
             t_hi = np.where(below, t_hi, t)
-            slope = (((5.0 * c5 * t + 4.0 * c4) * t + 3.0 * c3) * t + e0) * t + d0
+            np.multiply(c5x5, t, out=slope)
+            for c in (c4x4, c3x3, e0):
+                slope += c
+                slope *= t
+            slope += d0
             step = t - resid / slope
             # a step onto a bracket end is kept: at convergence the iterate
             # is the end just moved, and a strict test would bisect forever

@@ -7,17 +7,25 @@ Transportation, 2003, section 2.2) is a finite sum and is computed exactly
 up to rounding.  No quadrature, no tolerance.
 
 Each side is a quantile staircase (levels, positions) from
-``quantile_staircase``.  One stable argsort merges the two level arrays into
-a partition of (0, 1]; a piece's position in the merge and its level's
-index in its own staircase give its index into both staircases.  Tied levels make pieces of zero length,
-which add nothing to the sum.  ``wp_trajectory`` merges the two particle
+``quantile_staircase``.  One kernel, ``_wp_sorted``, takes the two level
+arrays concatenated into one (A's first); one stable argsort merges them
+into a partition of (0, 1], and a piece's position in the merge and its
+level's index in its own staircase give its index into both staircases.
+Tied levels make pieces of zero length, which add nothing to the sum.  The
+integer powers of the gaps are one product chain, built once and shared by
+every integer order.  ``wp_from_staircases`` and ``wp_cdf`` concatenate two
+staircases' levels for it; ``wp_trajectory`` writes each side's mixture
+levels straight into its half of one array.  It merges the two particle
 systems of a scheme state once for every run of states whose ``base`` and
 ``next`` are the same objects, as ``sh_trajectory`` and
 ``viscous_trajectory`` produce within one step; each state then needs only
-its levels at its own weight s.  The result is exact up to rounding whether
-or not states share.  ``w1_via_cdf`` integrates |F_a - F_b| over x
-instead, each CDF read from its staircase on the union of the two position
-sets: the independent check of the identity W_1 = L^1 of the CDFs.
+its levels at its own weight s, by the one level formula of
+``_mixture_levels``.  So a trajectory gives the same bits as
+``wp_from_staircases`` state by state, whether or not states share.
+
+``w1_via_cdf`` integrates |F_a - F_b| over x instead, each CDF read from its
+staircase on the union of the two position sets: the independent check of
+the identity W_1 = L^1 of the CDFs.
 """
 
 from __future__ import annotations
@@ -66,59 +74,65 @@ def wp_particles(a: ParticleQuantiles, b: ParticleQuantiles, p: float = 1.0) -> 
     return float(np.mean(gaps**p) ** (1.0 / p))
 
 
-def _power(gaps: np.ndarray, p: float) -> np.ndarray:
-    """gaps**p; a small integer order by repeated products, which cost a
-    fraction of a ``pow`` call per element."""
-    if p.is_integer() and p <= _MAX_PRODUCT_ORDER:
-        out = gaps
-        for _ in range(int(p) - 1):
-            out = out * gaps
-        return out
-    return gaps**p
-
-
-def _wp_merge(stair_a, stair_b, orders):
-    """W_p for each order, on the merged level partition of two quantile
-    staircases."""
-    lev_a, pos_a = stair_a
-    lev_b, pos_b = stair_b
-    # concatenated twice so that no unsorted copy outlives the sort
-    order = np.argsort(np.concatenate([lev_a, lev_b]), kind="stable")
-    levels = np.concatenate([lev_a, lev_b])[order]
+def _wp_sorted(levels, n_a, pos_a, pos_b, orders, k):
+    """W_p for each order, on the merged partition of two quantile
+    staircases whose levels are ``levels``: A's n_a levels, then B's.
+    ``k`` is ``np.arange(levels.size)``."""
+    order = levels.argsort(kind="stable")
+    levels = levels.take(order)
     widths = np.empty_like(levels)
     widths[0] = levels[0]
     np.subtract(levels[1:], levels[:-1], out=widths[1:])
     # idx_a A-levels and k - idx_a B-levels merge before position k; they
     # index Q_a and Q_b on the k-th piece.  The merge keeps each staircase
     # in order, so an A-level there is A's idx_a-th (idx_a = order[k]) and a
-    # B-level is B's (k - idx_a)-th (idx_a = k - order[k] + lev_a.size).
-    k = np.arange(order.size)
-    idx_a = np.where(order < lev_a.size, order, k - order + lev_a.size)
-    idx_b = k - idx_a
-    gaps = pos_a[np.minimum(idx_a, lev_a.size - 1, out=idx_a)]
-    gaps -= pos_b[np.minimum(idx_b, lev_b.size - 1, out=idx_b)]
+    # B-level is B's (k - idx_a)-th (idx_a = k - order[k] + n_a).  The
+    # other formula is never the smaller one: for an A-level it exceeds
+    # n_a > order[k], and for a B-level order[k] >= n_a >= idx_a.  Past the
+    # end of a staircase the index is clipped to its last position.
+    idx = k - order
+    idx += n_a
+    np.minimum(idx, order, out=idx)
+    gaps = pos_a.take(idx, mode="clip")
+    np.subtract(k, idx, out=idx)
+    gaps -= pos_b.take(idx, mode="clip")
     np.abs(gaps, out=gaps)
-    return [np.dot(_power(gaps, p), widths) ** (1.0 / p) for p in orders]
+    # powers[j] = gaps**(j + 1) as the product chain gaps * gaps * ...,
+    # built once and shared by every integer order up to _MAX_PRODUCT_ORDER
+    powers = [gaps]
+    out = []
+    for p in orders:
+        if p.is_integer() and p <= _MAX_PRODUCT_ORDER:
+            while len(powers) < p:
+                powers.append(powers[-1] * gaps)
+            power = powers[int(p) - 1]
+        else:
+            power = gaps**p
+        out.append(np.dot(power, widths) ** (1.0 / p))
+    return out
 
 
 def wp_from_staircases(stair_a, stair_b, p_list):
     """Exact integral of |Q_a - Q_b|^p over (0,1) for each p, on the merged
     level partition of the two quantile staircases."""
     orders = [_checked(p, "Wasserstein order p", 1.0) for p in p_list]
-    return [float(w) for w in _wp_merge(stair_a, stair_b, orders)]
+    (lev_a, pos_a), (lev_b, pos_b) = stair_a, stair_b
+    levels = np.concatenate([lev_a, lev_b])
+    ws = _wp_sorted(levels, lev_a.size, pos_a, pos_b, orders, np.arange(levels.size))
+    return [float(w) for w in ws]
 
 
-def _staircases(states):
-    """The mixture staircase of each SchemeState in turn.  A run of states
-    whose ``base`` and ``next`` are the same two objects shares one
-    ``_mixture_merge``; the previous merge is dropped before the next one
-    is built."""
+def _merges(states, k):
+    """The ``_mixture_merge`` and weight s of each SchemeState in turn.  A
+    run of states whose ``base`` and ``next`` are the same two objects
+    shares one merge; the previous merge is dropped before the next one is
+    built."""
     pair = merge = None
     for state in states:
         if pair is None or state.base is not pair[0] or state.next is not pair[1]:
             pair, merge = (state.base, state.next), None
-            merge = _mixture_merge(*pair)
-        yield _mixture_levels(merge, state.s), merge[2]
+            merge = _mixture_merge(*pair, k[: 2 * state.base.n])
+        yield merge, state.s
 
 
 def wp_trajectory(states_a, states_b, p_list) -> np.ndarray:
@@ -138,8 +152,16 @@ def wp_trajectory(states_a, states_b, p_list) -> np.ndarray:
     if len(states_a) != len(states_b):
         raise ValueError(f"trajectories differ in length ({len(states_a)} vs {len(states_b)})")
     out = np.empty((len(states_a), len(orders)))
-    for t, (stair_a, stair_b) in enumerate(zip(_staircases(states_a), _staircases(states_b))):
-        out[t] = _wp_merge(stair_a, stair_b, orders)
+    # the index ramp of the widest merged partition, shared by every merge
+    k = np.arange(sum(2 * max((st.base.n for st in x), default=0) for x in (states_a, states_b)))
+    for t, ((merge_a, s_a), (merge_b, s_b)) in enumerate(
+        zip(_merges(states_a, k), _merges(states_b, k))
+    ):
+        n_a = merge_a[0].size
+        levels = np.empty(n_a + merge_b[0].size)
+        _mixture_levels(merge_a, s_a, out=levels[:n_a])
+        _mixture_levels(merge_b, s_b, out=levels[n_a:])
+        out[t] = _wp_sorted(levels, n_a, merge_a[2], merge_b[2], orders, k[: levels.size])
     return out
 
 

@@ -297,12 +297,22 @@ def test_blocks_of_snapshots_give_the_same_bits(monkeypatch, rows):
     times = np.linspace(0.0, 1.0, 65)
     mixtures = [sh_as_cdf(s) for s in sh_trajectory(a0, concave, 0.05, times)]
     states = [(t, as_step_cdf(m) if i % 3 else m) for i, (t, m) in enumerate(zip(times, mixtures))]
-    widths = {quantile_staircase(state)[1].size for _, state in states}
+    widths = {as_step_cdf(state).breakpoints.size for _, state in states}
     assert len(widths) > 1
     ks = np.linspace(0.0, 1.0, 11)
     grid = BumpFamily(pad_x=0.3)
     whole = entropy_residuals(states, concave, ks, grid)
-    monkeypatch.setattr(claw.entropy, "_BLOCK_BYTES", 8 * (max(widths) + 2) * rows)
+    # a block holds _BLOCK_BYTES // (16 * widest deduplicated staircase) rows
+    monkeypatch.setattr(claw.entropy, "_BLOCK_BYTES", 16 * max(widths) * rows)
+    block_rows = []
+    geometry = claw.entropy._block_geometry
+
+    def spy(stairs, *args):
+        block_rows.append(len(stairs))
+        return geometry(stairs, *args)
+
+    monkeypatch.setattr(claw.entropy, "_block_geometry", spy)
     blocked = entropy_residuals(states, concave, ks, grid)
+    assert block_rows == [rows] * (65 // rows) + [65 % rows] * (65 % rows > 0)
     assert np.array_equal(blocked, whole)
     assert np.all(np.abs(blocked - reference_residuals(states, concave, ks, grid)) <= 1e-13)

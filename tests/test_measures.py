@@ -76,10 +76,23 @@ class TestParticleQuantilesValidation:
             ([0.0, 1.0, np.inf], "finite"),
             ([-np.inf, 0.0, 1.0], "finite"),
             ([0.0, 2.0, 1.0, 3.0], "nondecreasing"),
+            ([np.nan], "finite"),
+            ([0.0, np.inf, 1.0], "finite"),
+            ([2.0, 1.0, np.nan], "finite"),  # finiteness is named first
             ([[0.0, 1.0], [2.0, 3.0]], "1-d"),
             ([], "at least one"),
         ],
-        ids=["nan", "plus-inf", "minus-inf", "descending", "2-d", "empty"],
+        ids=[
+            "nan",
+            "plus-inf",
+            "minus-inf",
+            "descending",
+            "one-nan",
+            "inf-inside",
+            "nan-and-descending",
+            "2-d",
+            "empty",
+        ],
     )
     def test_rejects_bad_positions(self, positions, match):
         with pytest.raises(ValueError, match=match):

@@ -64,6 +64,9 @@ CASES = {
         lambda v: viscous_trajectory(PQ, BURGERS, v, 0.1, [0.0, 0.1]), "step size", 0.0
     ),
     "decompose_time t": (lambda v: decompose_time(v, 0.1), "time", BELOW_ZERO),
+    # h is checked even when there are no times to split
+    "sh_trajectory h": (lambda v: sh_trajectory(PQ, BURGERS, v, []), "step size", 0.0),
+    "sh_trajectory t": (lambda v: sh_trajectory(PQ, BURGERS, 0.1, [0.0, v]), "time", BELOW_ZERO),
     "classical_characteristics t": (
         lambda v: classical_characteristics(PQ, make_builtin("linear(1)"), v), "time", BELOW_ZERO
     ),

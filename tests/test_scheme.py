@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -137,8 +139,17 @@ class TestDecomposeTime:
             (1.0, np.inf, "step size .* got inf"),
             (-np.inf, 0.1, "time .* got -inf"),
             (1e300, 1e-300, "overflows"),
+            (1e20, 1.0, "t/h overflows for t=1e\\+20, h=1.0"),  # N past int64
         ],
-        ids=["t-inf", "t-nan", "h-nan", "h-inf", "t-minus-inf", "t-over-h-overflows"],
+        ids=[
+            "t-inf",
+            "t-nan",
+            "h-nan",
+            "h-inf",
+            "t-minus-inf",
+            "t-over-h-overflows",
+            "step-count-overflows",
+        ],
     )
     def test_non_finite_rejected(self, t, h, match):
         with pytest.raises(ValueError, match=match):
@@ -147,6 +158,37 @@ class TestDecomposeTime:
     def test_trajectory_rejects_infinite_time(self, random_pq):
         with pytest.raises(ValueError, match="got inf"):
             sh_trajectory(random_pq(4), burgers, 0.1, [0.0, np.inf])
+
+    def test_trajectory_rejects_bad_times_in_an_array(self, random_pq):
+        with pytest.raises(ValueError, match="time t must be finite .* got nan"):
+            sh_trajectory(random_pq(4), burgers, 0.1, np.array([0.0, np.nan]))
+        with pytest.raises(ValueError, match="t/h overflows for t=1e\\+300, h=1e-300"):
+            sh_trajectory(random_pq(4), burgers, 1e-300, np.array([0.0, 1e300]))
+
+    @pytest.mark.parametrize("h", [0.1, 0.01, 0.07, 1.0 / 3.0])
+    def test_trajectory_splits_times_as_decompose_time(self, h):
+        # t/h on and near integers: 0.3/0.1 lands just below 3, (m - 5e-13)h
+        # within the 1e-12 roll-over of m, (m - 2e-12)h just outside it
+        ratios = [0.0, 0.25, 0.5, 1.0, 2.0 - 5e-13, 2.0, 3.0 - 2e-12, 3.0 + 1e-9, 7.5]
+        times = sorted({0.3, 0.3 + 1e-15} | {r * h for r in ratios} | {3.0 * h - 1e-14})
+        states = sh_trajectory(uniform_data(8), burgers, h, times)
+        got = [(st.steps_taken, st.s.hex()) for st in states]
+        want = [(n, s.hex()) for n, s in (decompose_time(t, h) for t in times)]
+        assert got == want
+
+        def split(t):  # the rule in Python scalars, as the reference
+            q = t / h
+            n = math.floor(q)
+            return (n + 1, 0.0) if q - n >= 1.0 - 1e-12 else (n, q - n)
+
+        assert want == [(n, s.hex()) for n, s in map(split, times)]
+        assert got[0] == (0, (0.0).hex())
+        # some times roll over to the next step, some stay just below it
+        assert any(t / h < n for t, (n, _) in zip(times, got))
+        assert any(s > 0.99999999 for _, s in (decompose_time(t, h) for t in times))
+        # a float array is split the same way as a list
+        again = sh_trajectory(uniform_data(8), burgers, h, np.array(times))
+        assert [(st.steps_taken, st.s.hex()) for st in again] == want
 
 
 class TestEvolveSh:

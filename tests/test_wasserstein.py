@@ -379,4 +379,5 @@ def test_trajectory_reuses_a_merge_only_for_the_same_pair():
     )
     assert got.shape == (len(states_a), len(orders))
     assert np.all(ref > 0)
-    assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+    # one kernel on the same levels: the same bits as the per-state merge
+    assert np.array_equal(got, ref)
