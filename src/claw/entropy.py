@@ -40,15 +40,21 @@ width would change their rounding: merging tied positions first keeps a
 state and its deduplicated CDF the same bits.
 
 The snapshots are screened in blocks of consecutive rows, each block
-running every x-bump before the next block is padded.  A block holds as
-many snapshots as fit its largest per-bump array, the (2, rows, edges)
-weights of E and F, in ``_BLOCK_BYTES`` (at least one), so a bump's working
-arrays stay in a core's L2 cache, and working memory beyond the staircases
-and the (levels x bumps x snapshots) integrals is a few such arrays,
-whatever the number of snapshots, bumps or levels.  Every row is padded to
-the widest deduplicated staircase of the trajectory, and its arithmetic,
-segment sums included, does not depend on the block holding it, so the
-result is the same bits for any block size.
+running every x-bump before the next block starts.  A block holds as many
+snapshots as fit its largest per-bump array, the (2, rows, edges) weights
+of E and F, in ``_BLOCK_BYTES`` (at least one), sized from an upper bound
+on each staircase's width (a particle system's count, a mixture's two
+counts summed), so a bump's working arrays stay in a core's L2 cache.  The
+x-range is read from each state's first and last positions, so a block's
+deduplicated staircases are built when the block starts, padded only to
+the block's widest, and dropped before the next block: working memory
+beyond the (levels x bumps x snapshots) integrals is one block's
+staircases and a few such arrays, whatever the number of snapshots,
+bumps or levels.  Each row's last segment ends at the row's own last
+edge, and its padding forms a segment of its own whose sum is dropped, so
+padding never enters a sum: a row's arithmetic, segment sums included,
+does not depend on the block holding it or on its padding, and the result
+is the same bits for any block size.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fluxes import FluxModel
-from .measures import _checked, _checked_count, quantile_staircase
+from .measures import MixtureState, _checked, _checked_count, _numeric_array, quantile_staircase
 
 __all__ = ["BumpFamily", "entropy_residuals", "entropy_residual"]
 
@@ -98,8 +104,9 @@ _ANTI_EDGE = 1.0 - 1.0 + 0.6 - 1.0 / 7.0  # antiderivative of the bump at s=1
 # of 31 interleaved calls) took 47 ms at 96 KiB, 41 ms at 128 KiB and 38-39
 # ms at 160, 192 and 256 KiB; in a second set of 15 calls, 57 ms at 64 KiB,
 # 44 ms at 512 KiB and 1 MiB, and 52 ms with all 65 snapshots in one block.
-# The screen's tracemalloc peak at 65 and 257 snapshots is 3.15 and 10.28 MB
-# at 128 KiB, 3.44 and 10.58 MB at 192 KiB, and 3.73 and 10.87 MB at 256 KiB
+# The screen's tracemalloc peak at 65 and 257 snapshots is 1.15 and 1.96 MB
+# at 128 KiB, 1.50 and 2.32 MB at 192 KiB, and 1.86 and 2.68 MB at 256 KiB;
+# the 0.82 MB between them is almost all the integrals, 4.2 KB a snapshot
 _BLOCK_BYTES = 192 * 1024
 
 
@@ -114,13 +121,22 @@ def _bump_deriv(s):
 
 
 def _checked_levels(ks) -> np.ndarray:
-    ks = np.asarray(ks, dtype=float)
+    ks = _numeric_array(ks, "entropy level")
     if ks.ndim != 1:
         raise ValueError(f"entropy levels must form a 1-d sequence, got shape {ks.shape}")
     outside = ~((ks >= 0.0) & (ks <= 1.0))  # nan included
     if np.any(outside):
         raise ValueError(f"entropy level must lie in [0, 1], got {ks[outside][0]}")
     return ks
+
+
+def _position_runs(state):
+    """Sorted position arrays whose union is the staircase positions of
+    ``state``: a mixture's merge holds both particle systems, so its ends
+    and its width bound are read without merging."""
+    if isinstance(state, MixtureState):
+        return state.low.positions, state.high.positions
+    return (quantile_staircase(state)[1],)
 
 
 def _deduplicated_staircase(state):
@@ -149,21 +165,23 @@ def _padded_block(stairs, width):
     return edges, levels
 
 
-def _block_geometry(stairs, width, flux, ks):
-    """What the x-bumps need of a block of staircases: the (rows, width)
-    edges, the (2, rows, width) jumps of L and f(L) at the edges, the
+def _block_geometry(stairs, flux, ks):
+    """What the x-bumps need of a block of staircases, padded to the
+    block's widest: the (rows, width) edges, the (rows,) widths of the
+    staircases, the (2, rows, width) jumps of L and f(L) at the edges, the
     (rows, levels) splits at the ascending levels ``ks``, and the (2, rows,
     levels) values of L and f(L) on the piece left of each split."""
-    edges, levels = _padded_block(stairs, width)
+    sizes = np.array([pos.size for _, pos in stairs])
+    edges, levels = _padded_block(stairs, sizes.max())
     values = np.stack([levels, flux.value(levels)])  # (2, rows, width + 1)
     # rows of levels are nondecreasing, so the pieces with L < k are the
     # first split[t, k] of row t
     split = np.stack([np.searchsorted(row, ks, side="left") for row in levels])
     left = np.broadcast_to(np.maximum(split - 1, 0), (2,) + split.shape)
-    return edges, np.diff(values, axis=2), split, np.take_along_axis(values, left, 2)
+    return edges, sizes, np.diff(values, axis=2), split, np.take_along_axis(values, left, 2)
 
 
-def _block_integrals(edges, jumps, split, below_values, x_bumps, totals, shifts):
+def _block_integrals(edges, sizes, jumps, split, below_values, x_bumps, totals, shifts):
     """Space integrals of E and F against every x-bump for one block of
     rows, as a (2, levels, bumps, rows) array, from ``_block_geometry``.
 
@@ -177,15 +195,19 @@ def _block_integrals(edges, jumps, split, below_values, x_bumps, totals, shifts)
     # flat index of the edge closing the pieces left of each split
     split_edge = row_start + np.maximum(split - 1, 0)
     # segments: from each row's first edge to its first split, between
-    # consecutive splits, and from its last split to its last edge
-    seg_start = np.concatenate([row_start, split_edge], axis=2).ravel()
+    # consecutive splits, from its last split to its last edge, and its
+    # padding, whose sum is dropped.  The weights are followed by one zero,
+    # so the end of the last row is a valid start even when the row fills
+    # the block's width
+    seg_start = np.concatenate([row_start, split_edge, row_start + sizes[:, None]], axis=2).ravel()
     seg_empty = np.append(seg_start[1:] == seg_start[:-1], False)
 
     seg_sums = np.empty((len(x_bumps), 2, rows, n_ks + 1))
     at_split = np.empty((len(x_bumps), 2, rows, n_ks))
     s = np.empty_like(edges)
     s2 = np.empty_like(edges)
-    weights = np.empty_like(jumps)
+    flat = np.zeros(jumps.size + 1)
+    weights = flat[:-1].reshape(jumps.shape)
     anti, psi = weights
     for b, (rx, xc) in enumerate(x_bumps):
         np.subtract(edges, xc, out=s)
@@ -205,11 +227,11 @@ def _block_integrals(edges, jumps, split, below_values, x_bumps, totals, shifts)
         np.subtract(1.0, s2, out=psi)
         np.multiply(psi, psi, out=s2)
         psi *= s2
-        at_split[b] = weights.ravel()[split_edge]
+        at_split[b] = flat[split_edge]
         weights *= jumps
-        sums = np.add.reduceat(weights.ravel(), seg_start)
+        sums = np.add.reduceat(flat, seg_start)
         sums[seg_empty] = 0.0
-        np.cumsum(sums.reshape(seg_sums.shape[1:]), axis=2, out=seg_sums[b])
+        np.cumsum(sums.reshape(2, rows, n_ks + 2)[..., :-1], axis=2, out=seg_sums[b])
 
     # summation by parts: the weighted sum of the pieces left of a split is
     # the weight at the split (P_0 = 0 at a split at 0) times the value left
@@ -236,13 +258,13 @@ def entropy_residuals(states, flux: FluxModel, ks, grid: BumpFamily | None = Non
         grid = BumpFamily()
     if len(states) < 3:
         raise ValueError("need at least 3 snapshots to screen a trajectory")
-    times = np.array([float(t) for t, _ in states])
+    times = np.array([_checked(t, "snapshot time") for t, _ in states])
     dts = np.diff(times)
     if np.any(dts <= 0) or not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
         raise ValueError("snapshots must be at uniformly spaced increasing times")
-    stairs = [_deduplicated_staircase(state) for _, state in states]
-    x_min = min(pos[0] for _, pos in stairs) - grid.pad_x
-    x_max = max(pos[-1] for _, pos in stairs) + grid.pad_x
+    runs = [_position_runs(state) for _, state in states]
+    x_min = min(pos[0] for arrays in runs for pos in arrays) - grid.pad_x
+    x_max = max(pos[-1] for arrays in runs for pos in arrays) + grid.pad_x
     if not x_max > x_min:
         raise ValueError(
             f"the padded x-range of the snapshots has zero width: every state is one atom"
@@ -266,13 +288,15 @@ def entropy_residuals(states, flux: FluxModel, ks, grid: BumpFamily | None = Non
 
     # space integrals per (E or F, level, x-bump, snapshot): E against the
     # bump and F against its x-derivative, exact on the piecewise-constant
-    # states, for one block of snapshot rows at a time (module docstring)
+    # states, for one block of snapshot rows at a time, its staircases
+    # built when it starts (module docstring)
     integrals = np.empty((2, n_ks, n_bumps, times.size))
-    width = max(pos.size for _, pos in stairs)
+    width = max(sum(pos.size for pos in arrays) for arrays in runs)
     n_rows = max(1, _BLOCK_BYTES // (16 * width))
     for r0 in range(0, times.size, n_rows):
         rows = slice(r0, r0 + n_rows)
-        geometry = _block_geometry(stairs[rows], width, flux, sorted_ks)
+        stairs = [_deduplicated_staircase(state) for _, state in states[rows]]
+        geometry = _block_geometry(stairs, flux, sorted_ks)
         integrals[:, order, :, rows] = _block_integrals(*geometry, x_bumps, totals, shifts)
     e_int, f_int = integrals
 
@@ -298,4 +322,4 @@ def entropy_residuals(states, flux: FluxModel, ks, grid: BumpFamily | None = Non
 def entropy_residual(states, flux: FluxModel, k: float, grid: BumpFamily | None = None) -> float:
     """Largest bump residual of the trajectory for the entropy level k; see
     ``entropy_residuals``."""
-    return float(entropy_residuals(states, flux, [float(k)], grid)[0])
+    return float(entropy_residuals(states, flux, [_numeric_array(k, "entropy level")], grid)[0])

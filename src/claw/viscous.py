@@ -357,13 +357,15 @@ def _grid_cdf_table(centers, sigma):
     k = np.arange(int(_BAND_SD * m * delta / (2.0 * math.pi * sigma)) + 1)
     xi = (2.0 * math.pi / (m * delta)) * k
     gain = np.exp(-0.5 * (sigma * xi) ** 2) / (n * delta * np.sinc(k / m) ** 8)
-    dens_hat = np.fft.rfft(spread)[: k.size] * gain
-    dens = np.fft.irfft(dens_hat, m)[:g0]
-    curv = np.fft.irfft(1j * xi * dens_hat, m)[:g0]
-    anti_hat = np.zeros_like(dens_hat)
-    anti_hat[1:] = dens_hat[1:] / (1j * xi[1:])
+    # one inverse transform of the stacked spectra of F's periodic part,
+    # F' and F'', whose rows are the same bits as three separate ones
+    spectra = np.zeros((3, k.size), dtype=complex)
+    dens_hat = spectra[1]
+    np.multiply(np.fft.rfft(spread)[: k.size], gain, out=dens_hat)
+    spectra[0, 1:] = dens_hat[1:] / (1j * xi[1:])
+    spectra[2] = 1j * xi * dens_hat
+    f_part, dens, curv = np.fft.irfft(spectra, m)[:, :g0]
     ramp = (dens_hat[0].real / m) * delta * np.arange(g0)
-    f_part = np.fft.irfft(anti_hat, m)[:g0]
     f_grid = f_part + ramp - f_part[0]
 
     f_grid = np.minimum(np.maximum.accumulate(np.maximum(f_grid, 0.0)), 1.0)

@@ -159,17 +159,21 @@ def screen_peak(n_times):
 
 
 def test_screen_memory_does_not_grow_with_bumps():
-    # the benchmark's entropy job, 65 snapshots: 3.44 MB, bound 40% above.
+    # the benchmark's entropy job, 65 snapshots: 1.51 MB, bound 40% above.
     # (snapshots x pieces) arrays for every bump peaked at 9.9 MB, and the
     # stacked per-bump geometry before them at 78 MB
-    assert screen_peak(65) <= 4.8e6
+    assert screen_peak(65) <= 2.1e6
 
 
 def test_screen_memory_does_not_grow_with_snapshots():
-    # the staircases and the integrals grow with the snapshots, a block of
-    # them does not: 10.58 MB at 257 snapshots, bound 30% above, where
-    # (snapshots x pieces) arrays peaked at 39.1 MB
-    assert screen_peak(257) <= 13.8e6
+    # only the integrals grow with the snapshots, 4.2 KB each (2 x 11
+    # levels x 24 bumps x 8 bytes); a block and its staircases do not:
+    # 2.32 MB at 257 snapshots, bound 30% above, where every staircase kept
+    # to the end peaked at 10.58 MB and (snapshots x pieces) arrays at 39.1
+    peak = screen_peak(257)
+    assert peak <= 3.0e6
+    # 0.81 MB more than at 65 snapshots; at most 6 KB per extra snapshot
+    assert peak - screen_peak(65) <= 1.15e6
 
 
 # Reference: the screen evaluated the direct way.  The antiderivative is in
@@ -287,32 +291,42 @@ def test_residuals_match_direct_evaluation(trajectory, grid, data):
     assert np.array_equal(got, entropy_residuals(deduplicated, flux, ks, grid))
 
 
+@pytest.mark.parametrize(
+    "n, ks",
+    [(48, np.linspace(0.0, 1.0, 11)), (256, np.array([0.05, 0.3, 0.45]))],
+    ids=["levels-to-1", "long-last-segments"],
+)
 @pytest.mark.parametrize("rows", [1, 2, 7])
-def test_blocks_of_snapshots_give_the_same_bits(monkeypatch, rows):
+def test_blocks_of_snapshots_give_the_same_bits(monkeypatch, n, ks, rows):
     # 65 snapshots in blocks of 1, 2 and 7 rows (the last block short),
-    # against one block, which the default budget gives at N = 48;
-    # deduplicated StepCdfs between mixtures give staircases of different
-    # widths, so padding crosses the block edges
-    a0 = build_initial({"preset": "random(4242)"}, 48)
+    # against one block; deduplicated StepCdfs between mixtures give
+    # staircases of different widths, so blocks are padded to different
+    # widths.  Without level 1 each row's last segment runs from its split
+    # at 0.45 to its last edge, hundreds of edges that padding must not join
+    a0 = build_initial({"preset": "random(4242)"}, n)
     times = np.linspace(0.0, 1.0, 65)
     mixtures = [sh_as_cdf(s) for s in sh_trajectory(a0, concave, 0.05, times)]
     states = [(t, as_step_cdf(m) if i % 3 else m) for i, (t, m) in enumerate(zip(times, mixtures))]
-    widths = {as_step_cdf(state).breakpoints.size for _, state in states}
-    assert len(widths) > 1
-    ks = np.linspace(0.0, 1.0, 11)
+    widths = [as_step_cdf(state).breakpoints.size for _, state in states]
+    assert len(set(widths)) > 1
     grid = BumpFamily(pad_x=0.3)
+    # a block holds _BLOCK_BYTES // (16 * 2n) rows: 2n bounds the width of
+    # a mixture's staircase, both particle systems
+    monkeypatch.setattr(claw.entropy, "_BLOCK_BYTES", 16 * 2 * n * 65)
     whole = entropy_residuals(states, concave, ks, grid)
-    # a block holds _BLOCK_BYTES // (16 * widest deduplicated staircase) rows
-    monkeypatch.setattr(claw.entropy, "_BLOCK_BYTES", 16 * max(widths) * rows)
-    block_rows = []
+    monkeypatch.setattr(claw.entropy, "_BLOCK_BYTES", 16 * 2 * n * rows)
+    blocks = []
     geometry = claw.entropy._block_geometry
 
     def spy(stairs, *args):
-        block_rows.append(len(stairs))
-        return geometry(stairs, *args)
+        out = geometry(stairs, *args)
+        blocks.append((len(stairs), out[0].shape[1]))
+        return out
 
     monkeypatch.setattr(claw.entropy, "_block_geometry", spy)
     blocked = entropy_residuals(states, concave, ks, grid)
-    assert block_rows == [rows] * (65 // rows) + [65 % rows] * (65 % rows > 0)
+    # each block padded to its own widest staircase
+    block_widths = [widths[r0 : r0 + rows] for r0 in range(0, 65, rows)]
+    assert blocks == [(len(w), max(w)) for w in block_widths]
     assert np.array_equal(blocked, whole)
     assert np.all(np.abs(blocked - reference_residuals(states, concave, ks, grid)) <= 1e-13)

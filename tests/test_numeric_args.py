@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from claw.entropy import BumpFamily
+from claw.entropy import BumpFamily, entropy_residual, entropy_residuals
 from claw.fluxes import make_builtin
 from claw.lcg import lcg_floats
 from claw.measures import (
@@ -52,6 +52,7 @@ BURGERS = make_builtin("burgers")
 STATES = sh_trajectory(PQ, BURGERS, 0.1, [0.0, 0.05])
 BELOW_ZERO = -np.nextafter(0.0, 1.0)
 BELOW_ONE = np.nextafter(1.0, 0.0)
+SNAPSHOTS = [(t, PQ) for t in (0.0, 0.5, 1.0)]
 
 # argument -> (call with the argument set to v, name in the message, the
 # nearest value below the allowed range; None where only finiteness counts)
@@ -99,6 +100,11 @@ CASES = {
     ),
     "wp_trajectory p": (lambda v: wp_trajectory(STATES, STATES, [v]), "order", BELOW_ONE),
     "make_builtin linear speed": (lambda v: make_builtin("linear", c=v), "speed", None),
+    "entropy_residuals t": (
+        lambda v: entropy_residuals(SNAPSHOTS[:2] + [(v, PQ)], BURGERS, [0.5]),
+        "snapshot time",
+        BELOW_ZERO,
+    ),
 }
 
 
@@ -165,6 +171,10 @@ POINTS = {
     "smoothed_quantile w": (
         lambda v: smoothed_quantile(SmoothedCdf(PQ, 0.5), v), "quantile argument"
     ),
+    "entropy_residual k": (lambda v: entropy_residual(SNAPSHOTS, BURGERS, v), "entropy level"),
+    "entropy_residuals ks": (
+        lambda v: entropy_residuals(SNAPSHOTS, BURGERS, [v]), "entropy level"
+    ),
 }
 
 
@@ -187,8 +197,9 @@ POINTS = {
     ],
 )
 def test_points_that_are_not_numbers_are_rejected(arg, value):
-    # eval_cdf(PQ, "0.5") returned 0.5, eval_cdf(PQ, True) 1.0 and
-    # generalized_inverse(PQ, "0.3") 0.0
+    # eval_cdf(PQ, "0.5") returned 0.5, eval_cdf(PQ, True) 1.0,
+    # generalized_inverse(PQ, "0.3") 0.0, entropy_residual(..., "0.5") the
+    # level-0.5 residual and entropy_residuals(..., [True]) level 1's
     call, name = POINTS[arg]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
