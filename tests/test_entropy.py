@@ -291,18 +291,11 @@ def test_residuals_match_direct_evaluation(trajectory, grid, data):
     assert np.array_equal(got, entropy_residuals(deduplicated, flux, ks, grid))
 
 
-@pytest.mark.parametrize(
-    "n, ks",
-    [(48, np.linspace(0.0, 1.0, 11)), (256, np.array([0.05, 0.3, 0.45]))],
-    ids=["levels-to-1", "long-last-segments"],
-)
-@pytest.mark.parametrize("rows", [1, 2, 7])
-def test_blocks_of_snapshots_give_the_same_bits(monkeypatch, n, ks, rows):
-    # 65 snapshots in blocks of 1, 2 and 7 rows (the last block short),
-    # against one block; deduplicated StepCdfs between mixtures give
-    # staircases of different widths, so blocks are padded to different
-    # widths.  Without level 1 each row's last segment runs from its split
-    # at 0.45 to its last edge, hundreds of edges that padding must not join
+def check_blocks(monkeypatch, n, ks, rows):
+    """65 snapshots of n particles in blocks of ``rows`` rows (the last
+    block short) against one block, the same bits, and against the
+    reference.  Deduplicated StepCdfs between mixtures give staircases of
+    different widths, so blocks are padded to different widths."""
     a0 = build_initial({"preset": "random(4242)"}, n)
     times = np.linspace(0.0, 1.0, 65)
     mixtures = [sh_as_cdf(s) for s in sh_trajectory(a0, concave, 0.05, times)]
@@ -330,3 +323,16 @@ def test_blocks_of_snapshots_give_the_same_bits(monkeypatch, n, ks, rows):
     assert blocks == [(len(w), max(w)) for w in block_widths]
     assert np.array_equal(blocked, whole)
     assert np.all(np.abs(blocked - reference_residuals(states, concave, ks, grid)) <= 1e-13)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+def test_blocks_of_snapshots_give_the_same_bits(monkeypatch, rows):
+    check_blocks(monkeypatch, 48, np.linspace(0.0, 1.0, 11), rows)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+def test_blocks_without_level_one_give_the_same_bits(monkeypatch, rows):
+    # each row's last segment runs from its split at 0.45 to its last edge,
+    # hundreds of edges that padding must not join; with level 1 in the
+    # set it has one or two
+    check_blocks(monkeypatch, 256, np.array([0.05, 0.3, 0.45]), rows)
