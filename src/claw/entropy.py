@@ -41,20 +41,20 @@ state and its deduplicated CDF the same bits.
 
 The snapshots are screened in blocks of consecutive rows, each block
 running every x-bump before the next block starts.  A block holds as many
-snapshots as fit its largest per-bump array, the (2, rows, edges) weights
-of E and F, in ``_BLOCK_BYTES`` (at least one), sized from an upper bound
-on each staircase's width (a particle system's count, a mixture's two
-counts summed), so a bump's working arrays stay in a core's L2 cache.  The
-x-range is read from each state's first and last positions, so a block's
-deduplicated staircases are built when the block starts, padded only to
-the block's widest, and dropped before the next block: working memory
-beyond the (levels x bumps x snapshots) integrals is one block's
-staircases and a few such arrays, whatever the number of snapshots,
-bumps or levels.  Each row's last segment ends at the row's own last
-edge, and its padding forms a segment of its own whose sum is dropped, so
-padding never enters a sum: a row's arithmetic, segment sums included,
-does not depend on the block holding it or on its padding, and the result
-is the same bits for any block size.
+snapshots as fit its largest per-bump array, the (2, edges) weights of E
+and F, in ``_BLOCK_BYTES`` (at least one), sized from an upper bound on
+each staircase's width (a particle system's count, a mixture's two counts
+summed), so a bump's working arrays stay in a core's L2 cache.  The x-range
+is read from each state's first and last positions, so a block's
+deduplicated staircases are built when the block starts and dropped before
+the next block: working memory beyond the (levels x bumps x snapshots)
+integrals is one block's staircases and a few such arrays, whatever the
+number of snapshots, bumps or levels.  A block lays its staircases end to
+end in flat arrays.  A row's segments run from its first edge to its first
+split, between its splits, and from its last split to where the next row
+begins, so each segment sum covers edges of one row only, in the same order
+whatever block holds the row: the result is the same bits for any block
+size.
 """
 
 from __future__ import annotations
@@ -64,7 +64,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fluxes import FluxModel
-from .measures import MixtureState, _checked, _checked_count, _numeric_array, quantile_staircase
+from .measures import (
+    _checked,
+    _checked_count,
+    _deduplicated_staircase,
+    _numeric_array,
+    _position_runs,
+)
 
 __all__ = ["BumpFamily", "entropy_residuals", "entropy_residual"]
 
@@ -98,15 +104,16 @@ class BumpFamily:
 
 
 _ANTI_EDGE = 1.0 - 1.0 + 0.6 - 1.0 / 7.0  # antiderivative of the bump at s=1
-# bytes of a block's (2, rows, edges) weights, its largest per-bump array
-# (module docstring): 6 rows at N = 1024.  The benchmark's entropy job (65
-# snapshots, N = 1024, 11 levels; 2-core Xeon, 2 MiB of L2 per core, median
-# of 31 interleaved calls) took 47 ms at 96 KiB, 41 ms at 128 KiB and 38-39
-# ms at 160, 192 and 256 KiB; in a second set of 15 calls, 57 ms at 64 KiB,
-# 44 ms at 512 KiB and 1 MiB, and 52 ms with all 65 snapshots in one block.
-# The screen's tracemalloc peak at 65 and 257 snapshots is 1.15 and 1.96 MB
-# at 128 KiB, 1.50 and 2.32 MB at 192 KiB, and 1.86 and 2.68 MB at 256 KiB;
-# the 0.82 MB between them is almost all the integrals, 4.2 KB a snapshot
+# bytes of a block's (2, edges) weights, its largest per-bump array (module
+# docstring), at the 2N-edge bound of a mixture row: 6 rows at N = 1024.
+# The benchmark's entropy job (65 snapshots, N = 1024, 11 levels; 2-core
+# Xeon, 2 MiB of L2 per core, medians of 11 interleaved calls in each of 3
+# processes) takes 40-41 ms at 64 KiB, 34-36 ms at 96 KiB, 32-33 ms at 128
+# KiB, 31-32 ms at 160 and 192 KiB, 30-31 ms at 256 and 512 KiB, 35 ms at 1
+# MiB and 41 ms with all 65 snapshots in one block.  The screen's
+# tracemalloc peak at 65 and 257 snapshots is 1.01 and 1.83 MB at 128 KiB,
+# 1.36 and 2.18 MB at 192 KiB, and 1.71 and 2.53 MB at 256 KiB; the 0.82 MB
+# between them is almost all the integrals, 4.2 KB a snapshot
 _BLOCK_BYTES = 192 * 1024
 
 
@@ -130,84 +137,58 @@ def _checked_levels(ks) -> np.ndarray:
     return ks
 
 
-def _position_runs(state):
-    """Sorted position arrays whose union is the staircase positions of
-    ``state``: a mixture's merge holds both particle systems, so its ends
-    and its width bound are read without merging."""
-    if isinstance(state, MixtureState):
-        return state.low.positions, state.high.positions
-    return (quantile_staircase(state)[1],)
-
-
-def _deduplicated_staircase(state):
-    """Quantile staircase of ``state`` with the last level of each run of
-    tied positions, as ``as_step_cdf`` keeps it."""
-    levels, positions = quantile_staircase(state)
-    last = np.append(positions[1:] != positions[:-1], True)
-    return levels[last], positions[last]
-
-
-def _padded_block(stairs, width):
-    """Edge and level matrices of a block of quantile staircases, padded to
-    ``width`` edges.
-
-    Padding repeats the last edge and the final level 1, so the padded
-    edges carry no jump; the level left of the first edge is 0.
-    """
-    edges = np.empty((len(stairs), width))
-    levels = np.ones((len(stairs), width + 1))
-    for i, (lev, pos) in enumerate(stairs):
-        m = pos.size
-        edges[i, :m] = pos
-        edges[i, m:] = pos[-1]
-        levels[i, 0] = 0.0
-        levels[i, 1 : m + 1] = lev
-    return edges, levels
-
-
 def _block_geometry(stairs, flux, ks):
-    """What the x-bumps need of a block of staircases, padded to the
-    block's widest: the (rows, width) edges, the (rows,) widths of the
-    staircases, the (2, rows, width) jumps of L and f(L) at the edges, the
-    (rows, levels) splits at the ascending levels ``ks``, and the (2, rows,
-    levels) values of L and f(L) on the piece left of each split."""
-    sizes = np.array([pos.size for _, pos in stairs])
-    edges, levels = _padded_block(stairs, sizes.max())
-    values = np.stack([levels, flux.value(levels)])  # (2, rows, width + 1)
-    # rows of levels are nondecreasing, so the pieces with L < k are the
-    # first split[t, k] of row t
-    split = np.stack([np.searchsorted(row, ks, side="left") for row in levels])
-    left = np.broadcast_to(np.maximum(split - 1, 0), (2,) + split.shape)
-    return edges, sizes, np.diff(values, axis=2), split, np.take_along_axis(values, left, 2)
+    """What the x-bumps need of a block of staircases laid end to end: the
+    (edges,) positions and the (2, edges) jumps of L and f(L) at them; as
+    flat indices into a (2, edges) array, the (2, rows, levels + 1) starts
+    of each row's segments and the (2, rows, levels) edges closing the
+    pieces left of each split at the ascending levels ``ks``; and the (2,
+    rows, levels) values of L and f(L) on the last of those pieces."""
+    first = np.cumsum([0] + [pos.size for _, pos in stairs[:-1]])
+    # L = 0 left of every row's first edge, then the rows' levels: edge i
+    # has the level values[:, i + 1]
+    values = np.concatenate([[0.0]] + [lev for lev, _ in stairs])
+    values = np.stack([values, flux.value(values)])
+    n_edges = values.shape[1] - 1
+    # a row's levels are nondecreasing, so for k > 0 its pieces with L < k
+    # are the one left of its first edge and the next count[t, k], the last
+    # of them closed by its edge count[t, k]; for k = 0 there are none
+    count = np.stack([np.searchsorted(lev, ks, side="left") for lev, _ in stairs])
+    closing = first[:, None] + count
+    below_values = values[:, np.where(count > 0, closing, 0)]
+    # each row's jumps are its level differences, from L = 0 at its first
+    # edge, written over the values
+    heads = values[:, first + 1] - values[:, :1]
+    np.subtract(values[:, 2:], values[:, 1:-1], out=values[:, 2:])
+    values[:, first + 1] = heads
+    # a row's segments start at its first edge and at each split (module
+    # docstring); the f(L) half of a (2, edges) array is n_edges further on
+    half = n_edges * np.arange(2).reshape(2, 1, 1)
+    split_edge = closing + half
+    seg_start = np.concatenate([first[:, None] + half, split_edge], axis=2)
+    edges = np.concatenate([pos for _, pos in stairs])
+    return edges, values[:, 1:], seg_start, split_edge, below_values
 
 
-def _block_integrals(edges, sizes, jumps, split, below_values, x_bumps, totals, shifts):
+def _block_integrals(edges, jumps, seg_start, split_edge, below_values, x_bumps, totals, shifts):
     """Space integrals of E and F against every x-bump for one block of
     rows, as a (2, levels, bumps, rows) array, from ``_block_geometry``.
 
     Each weight array (rx times the antiderivative at the edges, or the
     bump at the edges) is summed against the jumps between the sorted
-    splits of each row (module docstring).  A split at 0 has no piece or
-    edge left of it.
+    splits of each row (module docstring).  A level k = 0 (``shifts[0]``
+    holds the levels) has no piece or edge left of its split.
     """
-    (rows, width), n_ks = edges.shape, split.shape[1]
-    row_start = width * np.arange(2 * rows).reshape(2, rows, 1)
-    # flat index of the edge closing the pieces left of each split
-    split_edge = row_start + np.maximum(split - 1, 0)
-    # segments: from each row's first edge to its first split, between
-    # consecutive splits, from its last split to its last edge, and its
-    # padding, whose sum is dropped.  The weights are followed by one zero,
-    # so the end of the last row is a valid start even when the row fills
-    # the block's width
-    seg_start = np.concatenate([row_start, split_edge, row_start + sizes[:, None]], axis=2).ravel()
+    _, rows, n_segs = seg_start.shape
+    seg_start = seg_start.ravel()
     seg_empty = np.append(seg_start[1:] == seg_start[:-1], False)
 
-    seg_sums = np.empty((len(x_bumps), 2, rows, n_ks + 1))
-    at_split = np.empty((len(x_bumps), 2, rows, n_ks))
+    seg_sums = np.empty((len(x_bumps), 2, rows, n_segs))
+    at_split = np.empty((len(x_bumps), 2, rows, n_segs - 1))
     s = np.empty_like(edges)
     s2 = np.empty_like(edges)
-    flat = np.zeros(jumps.size + 1)
-    weights = flat[:-1].reshape(jumps.shape)
+    weights = np.empty(jumps.shape)
+    flat = weights.reshape(-1)
     anti, psi = weights
     for b, (rx, xc) in enumerate(x_bumps):
         np.subtract(edges, xc, out=s)
@@ -231,7 +212,7 @@ def _block_integrals(edges, sizes, jumps, split, below_values, x_bumps, totals, 
         weights *= jumps
         sums = np.add.reduceat(flat, seg_start)
         sums[seg_empty] = 0.0
-        np.cumsum(sums.reshape(2, rows, n_ks + 2)[..., :-1], axis=2, out=seg_sums[b])
+        np.cumsum(sums.reshape(2, rows, n_segs), axis=2, out=seg_sums[b])
 
     # summation by parts: the weighted sum of the pieces left of a split is
     # the weight at the split (P_0 = 0 at a split at 0) times the value left
@@ -239,9 +220,9 @@ def _block_integrals(edges, sizes, jumps, split, below_values, x_bumps, totals, 
     # Over all pieces the weight right of the last edge is ``totals``: the
     # bump's integral 2 * _ANTI_EDGE * rx against L, whose last level is 1,
     # and 0 against f(L)
-    at_split *= split > 0
-    below = at_split * below_values - seg_sums[..., :n_ks]
-    whole = totals - seg_sums[..., n_ks:]
+    at_split *= shifts[:1] > 0.0
+    below = at_split * below_values - seg_sums[..., :-1]
+    whole = totals - seg_sums[..., -1:]
     return ((whole - 2.0 * below) - shifts * (totals - 2.0 * at_split)).transpose(1, 3, 0, 2)
 
 

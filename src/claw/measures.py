@@ -6,8 +6,10 @@ particle system sampled at the midpoint quantile nodes w_i = (i - 1/2)/N
 (``MixtureState``).  Every reader uses one view of it, the quantile
 staircase (levels, positions) of ``quantile_staircase``.  Positions may tie:
 a right-side search lands on the last of a tied run, whose level is the CDF
-there, so each answer equals the deduplicated CDF's bit for bit.  A StepCdf
-is built from a staircase only by ``as_step_cdf`` and ``cdf_from_particles``.
+there, so each answer equals the deduplicated CDF's bit for bit.  That
+deduplicated staircase, each tied run merged into its last level, is
+``_deduplicated_staircase``; a StepCdf is built from it only by
+``as_step_cdf`` and ``cdf_from_particles``.
 
 All types are immutable after construction and every operation is a pure
 function, so values can be shared freely across workers.
@@ -318,14 +320,32 @@ def _mixture_levels(merge, s: float, out: np.ndarray | None = None) -> np.ndarra
     return out
 
 
-def as_step_cdf(obj) -> StepCdf:
-    """Exact StepCdf of a particle system or mixture state: each distinct
-    staircase position carries the last level of its run of tied positions."""
-    if isinstance(obj, StepCdf):
-        return obj
+def _deduplicated_staircase(obj):
+    """Quantile staircase of ``obj`` with each run of tied positions merged
+    into its last level, the CDF there: the values and breakpoints of
+    ``as_step_cdf``, without building a StepCdf."""
     levels, positions = quantile_staircase(obj)
     last = np.append(positions[1:] != positions[:-1], True)
-    return StepCdf(positions[last], levels[last])
+    return levels[last], positions[last]
+
+
+def _position_runs(obj):
+    """Sorted position arrays whose union is the staircase positions of
+    ``obj``: a mixture's merge holds both particle systems, so its ends
+    and its width bound are read without merging."""
+    if isinstance(obj, MixtureState):
+        return obj.low.positions, obj.high.positions
+    return (quantile_staircase(obj)[1],)
+
+
+def as_step_cdf(obj) -> StepCdf:
+    """Exact StepCdf of a particle system or mixture state: each distinct
+    staircase position carries the last level of its run of tied positions
+    (``_deduplicated_staircase``)."""
+    if isinstance(obj, StepCdf):
+        return obj
+    levels, positions = _deduplicated_staircase(obj)
+    return StepCdf(positions, levels)
 
 
 def mixture_quantile(ms: MixtureState, w):

@@ -4,7 +4,9 @@ For measures represented as step CDFs, particle systems or mixtures of two
 particle systems the quantile function is piecewise constant, so
 W_p^p = int_0^1 |Q_a - Q_b|^p dw (Villani, Topics in Optimal
 Transportation, 2003, section 2.2) is a finite sum and is computed exactly
-up to rounding.  No quadrature, no tolerance.
+up to rounding.  No quadrature, no tolerance.  Where the p-th powers of
+the gaps under- or overflow, at a large order or at gaps far from 1, the
+largest gap is factored out of the sum (``_pth_root``).
 
 Each side is a quantile staircase (levels, positions) from
 ``quantile_staircase``.  One kernel, ``_wp_sorted``, takes the two level
@@ -56,6 +58,23 @@ __all__ = [
 # integer orders up to this one are raised by repeated products; their
 # p - 1 roundings stay within a few units in the last place
 _MAX_PRODUCT_ORDER = 8
+_TINY = np.finfo(float).tiny  # the smallest normal float
+# up to this order a power sum overflows only for gaps beyond 5.6e102, so
+# these orders skip numpy's error-state switch (1.5 us a call); higher
+# orders compute theirs with overflow ignored, as ``_pth_root`` handles it
+_UNGUARDED_ORDER = 3.0
+
+
+def _pth_root(total, gaps, p, mean):
+    """total ** (1/p) for total = mean(gaps**p).  Where total is zero,
+    subnormal or infinite although some gap is positive, the powers have
+    under- or overflowed, and the largest gap M is factored out instead:
+    M mean((gaps / M)**p) ** (1/p)."""
+    if not _TINY <= total < np.inf:
+        top = gaps.max()
+        if top > 0.0:
+            return top * mean((gaps / top) ** p) ** (1.0 / p)
+    return total ** (1.0 / p)
 
 
 def wp_particles(a: ParticleQuantiles, b: ParticleQuantiles, p: float = 1.0) -> float:
@@ -71,7 +90,22 @@ def wp_particles(a: ParticleQuantiles, b: ParticleQuantiles, p: float = 1.0) -> 
             f"particle counts differ ({a.n} vs {b.n}); resample to a common size first"
         )
     gaps = np.abs(a.positions - b.positions)
-    return float(np.mean(gaps**p) ** (1.0 / p))
+    if p <= _UNGUARDED_ORDER:
+        total = np.mean(gaps**p)
+    else:
+        with np.errstate(over="ignore"):
+            total = np.mean(gaps**p)
+    return float(_pth_root(total, gaps, p, np.mean))
+
+
+def _power(powers, gaps, p):
+    """gaps**p: an integer order up to _MAX_PRODUCT_ORDER from the product
+    chain ``powers``, extended as far as it needs, any other by ``**``."""
+    if p.is_integer() and p <= _MAX_PRODUCT_ORDER:
+        while len(powers) < p:
+            powers.append(powers[-1] * gaps)
+        return powers[int(p) - 1]
+    return gaps**p
 
 
 def _wp_sorted(levels, n_a, pos_a, pos_b, orders, k):
@@ -102,13 +136,13 @@ def _wp_sorted(levels, n_a, pos_a, pos_b, orders, k):
     powers = [gaps]
     out = []
     for p in orders:
-        if p.is_integer() and p <= _MAX_PRODUCT_ORDER:
-            while len(powers) < p:
-                powers.append(powers[-1] * gaps)
-            power = powers[int(p) - 1]
+        if p <= _UNGUARDED_ORDER:
+            total = np.dot(_power(powers, gaps, p), widths)
         else:
-            power = gaps**p
-        out.append(np.dot(power, widths) ** (1.0 / p))
+            # an infinite power times a piece of zero width is NaN
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = np.dot(_power(powers, gaps, p), widths)
+        out.append(_pth_root(total, gaps, p, widths.dot))
     return out
 
 

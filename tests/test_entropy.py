@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import claw.entropy
+import claw.measures
 from claw.config import build_initial
 from claw.entropy import BumpFamily, entropy_residual, entropy_residuals
 from claw.fluxes import make_builtin
@@ -95,7 +96,7 @@ def test_levels_checked_before_any_geometry(controls, monkeypatch, ks):
     def fail(state):
         raise AssertionError("staircases built before the levels were checked")
 
-    monkeypatch.setattr(claw.entropy, "quantile_staircase", fail)
+    monkeypatch.setattr(claw.measures, "quantile_staircase", fail)
     shock, _, _ = controls
     with pytest.raises(ValueError, match="entropy level"):
         entropy_residuals(shock, concave, ks)
@@ -159,19 +160,20 @@ def screen_peak(n_times):
 
 
 def test_screen_memory_does_not_grow_with_bumps():
-    # the benchmark's entropy job, 65 snapshots: 1.51 MB, bound 40% above.
-    # (snapshots x pieces) arrays for every bump peaked at 9.9 MB, and the
-    # stacked per-bump geometry before them at 78 MB
-    assert screen_peak(65) <= 2.1e6
+    # the benchmark's entropy job, 65 snapshots: 1.37 MB, bound 40% above.
+    # Blocks padded to their widest staircase peaked at 1.51 MB,
+    # (snapshots x pieces) arrays for every bump at 9.9 MB, and the stacked
+    # per-bump geometry before them at 78 MB
+    assert screen_peak(65) <= 1.9e6
 
 
 def test_screen_memory_does_not_grow_with_snapshots():
     # only the integrals grow with the snapshots, 4.2 KB each (2 x 11
     # levels x 24 bumps x 8 bytes); a block and its staircases do not:
-    # 2.32 MB at 257 snapshots, bound 30% above, where every staircase kept
+    # 2.19 MB at 257 snapshots, bound 30% above, where every staircase kept
     # to the end peaked at 10.58 MB and (snapshots x pieces) arrays at 39.1
     peak = screen_peak(257)
-    assert peak <= 3.0e6
+    assert peak <= 2.85e6
     # 0.81 MB more than at 65 snapshots; at most 6 KB per extra snapshot
     assert peak - screen_peak(65) <= 1.15e6
 
@@ -295,11 +297,15 @@ def check_blocks(monkeypatch, n, ks, rows):
     """65 snapshots of n particles in blocks of ``rows`` rows (the last
     block short) against one block, the same bits, and against the
     reference.  Deduplicated StepCdfs between mixtures give staircases of
-    different widths, so blocks are padded to different widths."""
+    different widths.  One-atom snapshots, first, last, in pairs and inside
+    blocks, give rows of width 1, which every level k > 0 splits at their
+    first and only edge."""
     a0 = build_initial({"preset": "random(4242)"}, n)
     times = np.linspace(0.0, 1.0, 65)
     mixtures = [sh_as_cdf(s) for s in sh_trajectory(a0, concave, 0.05, times)]
     states = [(t, as_step_cdf(m) if i % 3 else m) for i, (t, m) in enumerate(zip(times, mixtures))]
+    for i in (0, 3, 8, 9, 30, 64):
+        states[i] = (times[i], ParticleQuantiles(np.full(n, 0.125)))
     widths = [as_step_cdf(state).breakpoints.size for _, state in states]
     assert len(set(widths)) > 1
     grid = BumpFamily(pad_x=0.3)
@@ -313,14 +319,14 @@ def check_blocks(monkeypatch, n, ks, rows):
 
     def spy(stairs, *args):
         out = geometry(stairs, *args)
-        blocks.append((len(stairs), out[0].shape[1]))
+        blocks.append((len(stairs), out[0].size))
         return out
 
     monkeypatch.setattr(claw.entropy, "_block_geometry", spy)
     blocked = entropy_residuals(states, concave, ks, grid)
-    # each block padded to its own widest staircase
+    # each block lays its rows' staircases end to end, unpadded
     block_widths = [widths[r0 : r0 + rows] for r0 in range(0, 65, rows)]
-    assert blocks == [(len(w), max(w)) for w in block_widths]
+    assert blocks == [(len(w), sum(w)) for w in block_widths]
     assert np.array_equal(blocked, whole)
     assert np.all(np.abs(blocked - reference_residuals(states, concave, ks, grid)) <= 1e-13)
 
@@ -333,6 +339,6 @@ def test_blocks_of_snapshots_give_the_same_bits(monkeypatch, rows):
 @pytest.mark.parametrize("rows", [1, 2, 7])
 def test_blocks_without_level_one_give_the_same_bits(monkeypatch, rows):
     # each row's last segment runs from its split at 0.45 to its last edge,
-    # hundreds of edges that padding must not join; with level 1 in the
-    # set it has one or two
+    # hundreds of edges, up to where the next row begins; with level 1 in
+    # the set it has one or two
     check_blocks(monkeypatch, 256, np.array([0.05, 0.3, 0.45]), rows)

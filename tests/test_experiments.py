@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import claw.experiments
-from claw.config import parse_config
+from claw.config import build_initial, parse_config
 from claw.experiments import ResultTable, emit_csv, run_experiment
 
 BASE = """
@@ -40,6 +40,21 @@ class TestContractionSweep:
         table = run_experiment(make_cfg("contraction_sweep", flux="concave_quadratic"))
         assert np.all(table.column("w1") >= 0)
         assert table.column("t")[-1] == 1.0
+
+    def test_an_order_whose_powers_underflow_is_not_zero(self):
+        # the largest gap is 0.26, so every gap**1000 underflows to 0: w1000
+        # read 0 and ratio1000 1 at every time.  W_1000 lies between W_2 and
+        # W_inf, which is at most the largest gap at t = 0
+        text = BASE.format(
+            kind="contraction_sweep", flux="burgers", a="random(7)", b="random(8)", extra=""
+        )
+        cfg = parse_config(text, [("p_list", "1 2 1000")])
+        a, b = (build_initial(spec, 128) for spec in (cfg.initial_a, cfg.initial_b))
+        table = run_experiment(cfg)
+        w2, w1000 = table.column("w2"), table.column("w1000")
+        assert np.all((w2 < w1000) & (w1000 <= np.max(np.abs(a.positions - b.positions))))
+        assert np.all(table.column("ratio1000") <= 1 + 1e-10)
+        assert np.any(table.column("ratio1000") < 1.0)
 
 
 class TestClassicalConstancy:

@@ -189,6 +189,10 @@ class TestDecomposeTime:
         # a float array is split the same way as a list
         again = sh_trajectory(uniform_data(8), burgers, h, np.array(times))
         assert [(st.steps_taken, st.s.hex()) for st in again] == want
+        # and a scalar time as a list of one
+        (one,) = sh_trajectory(uniform_data(8), burgers, h, 0.5)
+        n, s = decompose_time(0.5, h)
+        assert (one.steps_taken, one.s.hex()) == (n, s.hex())
 
 
 class TestEvolveSh:

@@ -120,6 +120,21 @@ def test_order_monotonicity(random_pq):
         assert all(lo <= hi + 1e-12 for lo, hi in zip(ws, ws[1:]))
 
 
+@pytest.mark.parametrize("scale", [1e-50, 1.0, 1e50])
+def test_orders_whose_powers_under_or_overflow(scale):
+    # gaps**p underflows at p = 1000 on data whose largest gap is 0.18, and
+    # at p = 7 on the same data times 1e-50; it overflows at p = 7 times
+    # 1e50.  W_p read 0 or inf there, or numpy warned
+    a, b = (build_initial({"preset": f"random({seed})"}, 256) for seed in (7, 8))
+    a, b = ParticleQuantiles(a.positions * scale), ParticleQuantiles(b.positions * scale)
+    top = np.max(np.abs(a.positions - b.positions))
+    orders = [1.0, 2.0, 3.0, 7.0, 9.5, 1000.0]
+    stairs = quantile_staircase(as_step_cdf(a)), quantile_staircase(as_step_cdf(b))
+    for ws in ([wp_particles(a, b, p) for p in orders], wp_from_staircases(*stairs, orders)):
+        assert all(0.0 < w <= top for w in ws)
+        assert all(lo <= hi for lo, hi in zip(ws, ws[1:]))
+
+
 def test_particles_agree_with_cdf_route(random_pq):
     for seed in range(20):
         a = random_pq(2 * seed, n=100)
