@@ -6,7 +6,9 @@ W_p^p = int_0^1 |Q_a - Q_b|^p dw (Villani, Topics in Optimal
 Transportation, 2003, section 2.2) is a finite sum and is computed exactly
 up to rounding.  No quadrature, no tolerance.  Where the p-th powers of
 the gaps under- or overflow, at a large order or at gaps far from 1, the
-largest gap is factored out of the sum (``_pth_root``).
+largest gap on a piece of positive width is factored out of the sum
+(``_pth_root``).  Each public function ignores numpy's overflow and
+invalid warnings once per call, around all of its orders (and states).
 
 Each side is a quantile staircase (levels, positions) from
 ``quantile_staircase``.  One kernel, ``_wp_sorted``, takes the two level
@@ -31,6 +33,8 @@ the identity W_1 = L^1 of the CDFs.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -58,23 +62,25 @@ __all__ = [
 # integer orders up to this one are raised by repeated products; their
 # p - 1 roundings stay within a few units in the last place
 _MAX_PRODUCT_ORDER = 8
-_TINY = np.finfo(float).tiny  # the smallest normal float
-# up to this order a power sum overflows only for gaps beyond 5.6e102, so
-# these orders skip numpy's error-state switch (1.5 us a call); higher
-# orders compute theirs with overflow ignored, as ``_pth_root`` handles it
-_UNGUARDED_ORDER = 3.0
 
 
-def _pth_root(total, gaps, p, mean):
-    """total ** (1/p) for total = mean(gaps**p).  Where total is zero,
-    subnormal or infinite although some gap is positive, the powers have
-    under- or overflowed, and the largest gap M is factored out instead:
-    M mean((gaps / M)**p) ** (1/p)."""
-    if not _TINY <= total < np.inf:
-        top = gaps.max()
-        if top > 0.0:
-            return top * mean((gaps / top) ** p) ** (1.0 / p)
-    return total ** (1.0 / p)
+def _pth_root(total, gaps, p, widths):
+    """total ** (1/p) for total = sum(widths * gaps**p); ``widths`` is one
+    per piece, or one number for pieces of equal width.  Where total is
+    zero, subnormal, infinite or NaN, the powers may have under- or
+    overflowed, and the largest gap M on a piece of positive width is
+    factored out instead: M sum(widths * (gaps / M)**p) ** (1/p), or 0 if
+    M is 0.  Pieces of zero width add nothing and are left out of M.  The
+    caller ignores numpy's overflow and invalid warnings: an infinite power
+    on a piece of zero width is NaN."""
+    if sys.float_info.min <= total < np.inf:  # the smallest normal float
+        return total ** (1.0 / p)
+    live = widths > 0.0
+    top = gaps.max(where=live, initial=0.0)
+    if top == 0.0:
+        return top
+    ratios = np.divide(gaps, top, out=np.zeros_like(gaps), where=live)
+    return top * np.sum(ratios**p * widths) ** (1.0 / p)
 
 
 def wp_particles(a: ParticleQuantiles, b: ParticleQuantiles, p: float = 1.0) -> float:
@@ -90,28 +96,15 @@ def wp_particles(a: ParticleQuantiles, b: ParticleQuantiles, p: float = 1.0) -> 
             f"particle counts differ ({a.n} vs {b.n}); resample to a common size first"
         )
     gaps = np.abs(a.positions - b.positions)
-    if p <= _UNGUARDED_ORDER:
-        total = np.mean(gaps**p)
-    else:
-        with np.errstate(over="ignore"):
-            total = np.mean(gaps**p)
-    return float(_pth_root(total, gaps, p, np.mean))
-
-
-def _power(powers, gaps, p):
-    """gaps**p: an integer order up to _MAX_PRODUCT_ORDER from the product
-    chain ``powers``, extended as far as it needs, any other by ``**``."""
-    if p.is_integer() and p <= _MAX_PRODUCT_ORDER:
-        while len(powers) < p:
-            powers.append(powers[-1] * gaps)
-        return powers[int(p) - 1]
-    return gaps**p
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_pth_root(np.mean(gaps**p), gaps, p, 1.0 / a.n))
 
 
 def _wp_sorted(levels, n_a, pos_a, pos_b, orders, k):
     """W_p for each order, on the merged partition of two quantile
     staircases whose levels are ``levels``: A's n_a levels, then B's.
-    ``k`` is ``np.arange(levels.size)``."""
+    ``k`` is ``np.arange(levels.size)``.  The caller ignores numpy's
+    overflow and invalid warnings, as ``_pth_root`` needs."""
     order = levels.argsort(kind="stable")
     levels = levels.take(order)
     widths = np.empty_like(levels)
@@ -136,13 +129,13 @@ def _wp_sorted(levels, n_a, pos_a, pos_b, orders, k):
     powers = [gaps]
     out = []
     for p in orders:
-        if p <= _UNGUARDED_ORDER:
-            total = np.dot(_power(powers, gaps, p), widths)
+        if p.is_integer() and p <= _MAX_PRODUCT_ORDER:
+            while len(powers) < p:
+                powers.append(powers[-1] * gaps)
+            power = powers[int(p) - 1]
         else:
-            # an infinite power times a piece of zero width is NaN
-            with np.errstate(over="ignore", invalid="ignore"):
-                total = np.dot(_power(powers, gaps, p), widths)
-        out.append(_pth_root(total, gaps, p, widths.dot))
+            power = gaps**p
+        out.append(_pth_root(np.dot(power, widths), gaps, p, widths))
     return out
 
 
@@ -152,7 +145,8 @@ def wp_from_staircases(stair_a, stair_b, p_list):
     orders = [_checked(p, "Wasserstein order p", 1.0) for p in p_list]
     (lev_a, pos_a), (lev_b, pos_b) = stair_a, stair_b
     levels = np.concatenate([lev_a, lev_b])
-    ws = _wp_sorted(levels, lev_a.size, pos_a, pos_b, orders, np.arange(levels.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ws = _wp_sorted(levels, lev_a.size, pos_a, pos_b, orders, np.arange(levels.size))
     return [float(w) for w in ws]
 
 
@@ -188,14 +182,14 @@ def wp_trajectory(states_a, states_b, p_list) -> np.ndarray:
     out = np.empty((len(states_a), len(orders)))
     # the index ramp of the widest merged partition, shared by every merge
     k = np.arange(sum(2 * max((st.base.n for st in x), default=0) for x in (states_a, states_b)))
-    for t, ((merge_a, s_a), (merge_b, s_b)) in enumerate(
-        zip(_merges(states_a, k), _merges(states_b, k))
-    ):
-        n_a = merge_a[0].size
-        levels = np.empty(n_a + merge_b[0].size)
-        _mixture_levels(merge_a, s_a, out=levels[:n_a])
-        _mixture_levels(merge_b, s_b, out=levels[n_a:])
-        out[t] = _wp_sorted(levels, n_a, merge_a[2], merge_b[2], orders, k[: levels.size])
+    merges = enumerate(zip(_merges(states_a, k), _merges(states_b, k)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, ((merge_a, s_a), (merge_b, s_b)) in merges:
+            n_a = merge_a[0].size
+            levels = np.empty(n_a + merge_b[0].size)
+            _mixture_levels(merge_a, s_a, out=levels[:n_a])
+            _mixture_levels(merge_b, s_b, out=levels[n_a:])
+            out[t] = _wp_sorted(levels, n_a, merge_a[2], merge_b[2], orders, k[: levels.size])
     return out
 
 

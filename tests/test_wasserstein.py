@@ -120,19 +120,36 @@ def test_order_monotonicity(random_pq):
         assert all(lo <= hi + 1e-12 for lo, hi in zip(ws, ws[1:]))
 
 
-@pytest.mark.parametrize("scale", [1e-50, 1.0, 1e50])
+@pytest.mark.parametrize("scale", [1e-50, 1.0, 1e50, 1e160])
 def test_orders_whose_powers_under_or_overflow(scale):
     # gaps**p underflows at p = 1000 on data whose largest gap is 0.18, and
     # at p = 7 on the same data times 1e-50; it overflows at p = 7 times
-    # 1e50.  W_p read 0 or inf there, or numpy warned
-    a, b = (build_initial({"preset": f"random({seed})"}, 256) for seed in (7, 8))
-    a, b = ParticleQuantiles(a.positions * scale), ParticleQuantiles(b.positions * scale)
-    top = np.max(np.abs(a.positions - b.positions))
+    # 1e50 and at p = 2 times 1e160.  W_p read 0 or inf there, or numpy
+    # warned.  Equal particle counts share every level, so the merge has
+    # pieces of zero width, here with the cross gap 0.998 against real gaps
+    # of 0.002 and 0.001; factoring out 0.998 underflowed the real gaps
+    # again.  A measure against itself reads 0, though its cross gaps
+    # overflow at 1e50 and 1e160
+    flux = make_builtin("burgers")
+    random_pair = [build_initial({"preset": f"random({seed})"}, 256) for seed in (7, 8)]
+    shared_levels = [ParticleQuantiles([0.0, 1.0]), ParticleQuantiles([0.002, 1.001])]
     orders = [1.0, 2.0, 3.0, 7.0, 9.5, 1000.0]
-    stairs = quantile_staircase(as_step_cdf(a)), quantile_staircase(as_step_cdf(b))
-    for ws in ([wp_particles(a, b, p) for p in orders], wp_from_staircases(*stairs, orders)):
-        assert all(0.0 < w <= top for w in ws)
-        assert all(lo <= hi for lo, hi in zip(ws, ws[1:]))
+    for pair in (random_pair, shared_levels):
+        a, b = (ParticleQuantiles(x.positions * scale) for x in pair)
+        top = np.max(np.abs(a.positions - b.positions))
+        stairs = quantile_staircase(as_step_cdf(a)), quantile_staircase(as_step_cdf(b))
+        states = [
+            SchemeState(base=x, next=x, s=0.5, h=0.1, steps_taken=0, flux=flux) for x in (a, b)
+        ]
+        for ws in (
+            [wp_particles(a, b, p) for p in orders],
+            wp_from_staircases(*stairs, orders),
+            wp_trajectory(states[:1], states[1:], orders)[0],
+        ):
+            assert all(0.0 < w <= top for w in ws)
+            assert all(lo <= hi for lo, hi in zip(ws, ws[1:]))
+        assert all(wp_particles(a, a, p) == 0.0 for p in orders)
+        assert wp_from_staircases(stairs[0], stairs[0], orders) == [0.0] * len(orders)
 
 
 def test_particles_agree_with_cdf_route(random_pq):
