@@ -50,11 +50,14 @@ deduplicated staircases are built when the block starts and dropped before
 the next block: working memory beyond the (levels x bumps x snapshots)
 integrals is one block's staircases and a few such arrays, whatever the
 number of snapshots, bumps or levels.  A block lays its staircases end to
-end in flat arrays.  A row's segments run from its first edge to its first
-split, between its splits, and from its last split to where the next row
-begins, so each segment sum covers edges of one row only, in the same order
-whatever block holds the row: the result is the same bits for any block
-size.
+end along one edge axis, and a row's segments start at indices along it:
+its first edge, then its splits.  A row's segments run from its first edge
+to its first split, between its splits, and from its last split to where
+the next row begins, so each segment sum covers edges of one row only, in
+the same order whatever block holds the row: the result is the same bits
+for any block size.  Every row, the level k = 0 included, counts the L = 0
+piece left of its first edge as left of the split; at k = 0 that piece has
+L = k and adds 0, exactly where f(0) = +-0 and to rounding otherwise.
 """
 
 from __future__ import annotations
@@ -139,56 +142,51 @@ def _checked_levels(ks) -> np.ndarray:
 
 def _block_geometry(stairs, flux, ks):
     """What the x-bumps need of a block of staircases laid end to end: the
-    (edges,) positions and the (2, edges) jumps of L and f(L) at them; as
-    flat indices into a (2, edges) array, the (2, rows, levels + 1) starts
-    of each row's segments and the (2, rows, levels) edges closing the
-    pieces left of each split at the ascending levels ``ks``; and the (2,
-    rows, levels) values of L and f(L) on the last of those pieces."""
+    (edges,) positions and the (2, edges) jumps of L and f(L) at them; the
+    (rows, levels + 1) starts of each row's segments, as indices along the
+    edges: its first edge, then the edges closing the pieces left of each
+    split at the ascending levels ``ks``; and the (2, rows, levels) values
+    of L and f(L) on the last of those pieces."""
     first = np.cumsum([0] + [pos.size for _, pos in stairs[:-1]])
     # L = 0 left of every row's first edge, then the rows' levels: edge i
     # has the level values[:, i + 1]
     values = np.concatenate([[0.0]] + [lev for lev, _ in stairs])
     values = np.stack([values, flux.value(values)])
-    n_edges = values.shape[1] - 1
     # a row's levels are nondecreasing, so for k > 0 its pieces with L < k
     # are the one left of its first edge and the next count[t, k], the last
     # of them closed by its edge count[t, k]; for k = 0 there are none
     count = np.stack([np.searchsorted(lev, ks, side="left") for lev, _ in stairs])
-    closing = first[:, None] + count
-    below_values = values[:, np.where(count > 0, closing, 0)]
+    seg_start = np.concatenate([first[:, None], first[:, None] + count], axis=1)
+    below_values = values[:, np.where(count > 0, seg_start[:, 1:], 0)]
     # each row's jumps are its level differences, from L = 0 at its first
     # edge, written over the values
     heads = values[:, first + 1] - values[:, :1]
     np.subtract(values[:, 2:], values[:, 1:-1], out=values[:, 2:])
     values[:, first + 1] = heads
-    # a row's segments start at its first edge and at each split (module
-    # docstring); the f(L) half of a (2, edges) array is n_edges further on
-    half = n_edges * np.arange(2).reshape(2, 1, 1)
-    split_edge = closing + half
-    seg_start = np.concatenate([first[:, None] + half, split_edge], axis=2)
     edges = np.concatenate([pos for _, pos in stairs])
-    return edges, values[:, 1:], seg_start, split_edge, below_values
+    return edges, values[:, 1:], seg_start, below_values
 
 
-def _block_integrals(edges, jumps, seg_start, split_edge, below_values, x_bumps, totals, shifts):
+def _block_integrals(edges, jumps, seg_start, below_values, x_bumps, totals, shifts):
     """Space integrals of E and F against every x-bump for one block of
     rows, as a (2, levels, bumps, rows) array, from ``_block_geometry``.
 
     Each weight array (rx times the antiderivative at the edges, or the
-    bump at the edges) is summed against the jumps between the sorted
-    splits of each row (module docstring).  A level k = 0 (``shifts[0]``
-    holds the levels) has no piece or edge left of its split.
+    bump at the edges) is summed along the edge axis against the jumps
+    between the sorted splits of each row (module docstring); an empty
+    segment's sum is set to 0.
     """
-    _, rows, n_segs = seg_start.shape
-    seg_start = seg_start.ravel()
-    seg_empty = np.append(seg_start[1:] == seg_start[:-1], False)
+    rows, n_segs = seg_start.shape
+    split = seg_start[:, 1:]
+    starts = seg_start.ravel()
+    # a row's last segment holds at least its last edge, since ks <= 1
+    empty = np.flatnonzero(starts[1:] == starts[:-1])
 
     seg_sums = np.empty((len(x_bumps), 2, rows, n_segs))
     at_split = np.empty((len(x_bumps), 2, rows, n_segs - 1))
     s = np.empty_like(edges)
     s2 = np.empty_like(edges)
     weights = np.empty(jumps.shape)
-    flat = weights.reshape(-1)
     anti, psi = weights
     for b, (rx, xc) in enumerate(x_bumps):
         np.subtract(edges, xc, out=s)
@@ -208,19 +206,18 @@ def _block_integrals(edges, jumps, seg_start, split_edge, below_values, x_bumps,
         np.subtract(1.0, s2, out=psi)
         np.multiply(psi, psi, out=s2)
         psi *= s2
-        at_split[b] = flat[split_edge]
+        at_split[b] = weights.take(split, axis=1)
         weights *= jumps
-        sums = np.add.reduceat(flat, seg_start)
-        sums[seg_empty] = 0.0
+        sums = np.add.reduceat(weights, starts, axis=1)
+        sums[:, empty] = 0.0
         np.cumsum(sums.reshape(2, rows, n_segs), axis=2, out=seg_sums[b])
 
     # summation by parts: the weighted sum of the pieces left of a split is
-    # the weight at the split (P_0 = 0 at a split at 0) times the value left
-    # of it, less the sum of weight times jump over the edges before it.
+    # the weight at the split times the value left of it, less the sum of
+    # weight times jump over the edges before it.
     # Over all pieces the weight right of the last edge is ``totals``: the
     # bump's integral 2 * _ANTI_EDGE * rx against L, whose last level is 1,
     # and 0 against f(L)
-    at_split *= shifts[:1] > 0.0
     below = at_split * below_values - seg_sums[..., :-1]
     whole = totals - seg_sums[..., -1:]
     return ((whole - 2.0 * below) - shifts * (totals - 2.0 * at_split)).transpose(1, 3, 0, 2)

@@ -45,7 +45,8 @@ class ResultTable:
         shape = (len(self.rows), len(self.columns))
         finite = np.isfinite(np.array(self.rows, dtype=float).reshape(shape)).all(axis=1)
         if not finite.all():
-            raise ValueError(f"non-finite entry in row {self.rows[int(np.argmin(finite))]}")
+            row = self.rows[int(np.argmin(finite))]
+            raise ValueError(f"non-finite entry in row {[float(v) for v in row]}")
 
     def column(self, name: str) -> np.ndarray:
         idx = self.columns.index(name)
@@ -117,6 +118,9 @@ def _convergence_study(cfg: ExperimentConfig) -> ResultTable:
     return ResultTable(cols, rows, _metadata(cfg))
 
 
+# numpy powers, so a moment or bound that overflows reads inf (or nan) and
+# the table rejects it, where a Python float power would raise
+@np.errstate(over="ignore", invalid="ignore")
 def _moment_audit(cfg: ExperimentConfig) -> ResultTable:
     a0 = build_initial(cfg.initial_a, cfg.n_particles, "initial_a")
     m = cfg.flux.lipschitz_bound
@@ -125,7 +129,7 @@ def _moment_audit(cfg: ExperimentConfig) -> ResultTable:
     times = h * np.arange(n_steps + 1)
     states = sh_trajectory(a0, cfg.flux, h, times)
     rows = []
-    for p in cfg.p_list:
+    for p in np.array(cfg.p_list):
         prev_moment = prev_tail = None
         for t, state in zip(times, states):
             mom = moment(state.base, p)

@@ -129,6 +129,10 @@ def make_tabulated(samples) -> FluxModel:
 
 
 def flux_from_file(path) -> FluxModel:
-    """Tabulated flux from a two-column whitespace-separated text file."""
-    table = np.loadtxt(path, dtype=float)
-    return make_tabulated(np.atleast_2d(table))
+    """Tabulated flux from a two-column whitespace-separated text file;
+    ``#`` starts a comment."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [line for line in fh if line.split("#", 1)[0].strip()]
+    if not lines:
+        raise ValueError(f"{path} holds no samples")
+    return make_tabulated(np.atleast_2d(np.loadtxt(lines, dtype=float)))

@@ -134,12 +134,7 @@ def decompose_time(t: float, h: float) -> tuple[int, float]:
 
 def _checked_times(times) -> np.ndarray:
     """``times`` as a 1-d float array, once each is a time ``decompose_time``
-    takes: a numeric array in one pass, anything else time by time, so a
-    string or a bool is named as ``decompose_time`` names it."""
-    if isinstance(times, np.ndarray) and times.ndim <= 1 and times.dtype.kind in "fiu":
-        arr = np.atleast_1d(times.astype(float, copy=False))
-        if np.isfinite(arr).all() and (arr >= 0.0).all():
-            return arr
+    takes, checked and named as ``decompose_time`` names it."""
     if np.ndim(times) == 0:
         times = [times]
     return np.array([_checked(t, "time t") for t in times], dtype=float)
@@ -254,5 +249,4 @@ def exact_rarefaction_cdf(t: float, resolution: int = 4096) -> StepCdf:
     width = 1.0 + t
     breakpoints = midpoint_nodes(resolution) * width
     values = np.arange(1, resolution + 1) / resolution
-    values[-1] = 1.0
     return StepCdf(breakpoints, values)

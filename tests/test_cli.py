@@ -147,6 +147,25 @@ def test_value_error_outside_the_config_exits_one(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "p_list, r_tail",
+    [("1 1100", None), ("1 200", "0.1001")],
+    ids=["moment-bound-factor", "tail-bound-factor"],
+)
+def test_overflowing_moment_bound_exits_one(p_list, r_tail, tmp_path, capsys):
+    cfg = tmp_path / "audit.cfg"
+    cfg.write_text(
+        "kind = moment_audit\nn_particles = 8\nh = 0.1\nt_final = 0.3\n"
+        + (f"r_tail = {r_tail}\n" if r_tail else "")
+        + "[flux]\nname = burgers\n"
+    )
+    assert main(["run", str(cfg), "--set", f"p_list={p_list}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: non-finite entry in row [")
+    assert captured.err.count("\n") == 1 and "inf" in captured.err
+    assert captured.out == ""
+
+
 def test_selftest_failure_exits_two(monkeypatch, capsys):
     import claw.selftest
 

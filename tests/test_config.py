@@ -123,6 +123,14 @@ def test_tabulated_flux_needs_exactly_a_readable_file(tmp_path, flux_lines, matc
         parse_config(f"kind = contraction_sweep\n[flux]\n{lines}\n")
 
 
+@pytest.mark.parametrize("text", ["", "# u f(u)\n\n   \n# no samples\n"], ids=["empty", "comments"])
+def test_tabulated_flux_file_without_samples_rejected(tmp_path, text):
+    table = tmp_path / "flux.txt"
+    table.write_text(text)
+    with pytest.raises(ConfigError, match=r"'flux\.file': .*flux\.txt holds no samples"):
+        parse_config(f"kind = contraction_sweep\n[flux]\nname = tabulated\nfile = {table}\n")
+
+
 @pytest.mark.parametrize("name", ["linear(nan)", "linear(1e400)", "linear(-inf)"])
 def test_non_finite_linear_speed_rejected(name):
     with pytest.raises(ConfigError, match="'flux.name': linear flux speed must be finite"):
