@@ -247,6 +247,12 @@ def _validate(cfg: ExperimentConfig):
         )
     if cfg.n_times < 2:
         raise ConfigError("field 'n_times': need at least 2 sample times")
+    if cfg.kind == "entropy_residual":
+        # the entropy screen needs three or more distinct, evenly spaced times
+        if cfg.t_final <= 0:
+            raise ConfigError("field 't_final': must be positive for entropy_residual")
+        if cfg.n_times < 3:
+            raise ConfigError("field 'n_times': entropy_residual needs at least 3 sample times")
     if cfg.nu < 0:
         raise ConfigError("field 'nu': must be nonnegative")
     if cfg.kind == "viscous_contraction" and cfg.nu <= 0:

@@ -9,10 +9,11 @@ The smoothed CDF is the mixture F(x) = (1/N) sum_j Phi((x - c_j)/sigma).
 It is evaluated exactly by summing only the centers within 9 sigma of x,
 right of the median as 1 - F, and counting farther centers as full mass or
 none (truncation error below 2.3e-19); the same terms give the density F'.
-Tables propose and one exact solve finishes.  The exact solver runs a
-Newton iteration on F and F' and returns x once F(x - tol/2) <= w <=
-F(x + tol/2) or its bracket is narrower than tol.  Its one bracket, 10 sigma
-+ tol beyond the outermost centers, holds by construction (``_REACH_SD``).
+Tables propose and one exact solve finishes.  Each pass of the exact
+solver takes F and F' at x -+ tol/2 from one window sum, ends the node once
+F(x - tol/2) <= w <= F(x + tol/2), and else steps by Newton from the probe
+on the root's side.  Its one bracket, 10 sigma + tol beyond the outermost
+centers, holds by construction (``_REACH_SD``).
 
 The CDF table holds F, F' and F'' on a uniform grid of 32 cells per sigma.
 Each atom is spread onto its 8 nearest cells with the degree-7 cardinal
@@ -228,10 +229,11 @@ def smoothed_cdf_eval(sc: SmoothedCdf, x):
     return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
 
-def smoothed_quantile(sc: SmoothedCdf, w: float, tol: float = DEFAULT_TOL) -> float:
+def smoothed_quantile(sc: SmoothedCdf, w: float, tol: float | None = None) -> float:
     """The unique x with F(x) = w, within tol/2, by the exact solver started
     at the center of the same rank.  A tol below twice the float spacing at
-    max|x_j| + 10 sigma is rejected."""
+    max|x_j| + 10 sigma is rejected; with no tol, the larger of 1e-10 and
+    that least one is used."""
     w = _check_quantile_arg(w)
     if w.ndim != 0:
         raise ValueError(f"quantile level w must be a single number, got {w.tolist()!r}")
@@ -241,14 +243,15 @@ def smoothed_quantile(sc: SmoothedCdf, w: float, tol: float = DEFAULT_TOL) -> fl
     return float(_solve_nodes(c, sc.sigma, w[None], np.array([start]), tol)[0])
 
 
-def _check_tol(tol: float, centers, sigma: float) -> float:
+def _check_tol(tol: float | None, centers, sigma: float) -> float:
     """``tol`` as a float, once it is a finite number above 0 and at least
     two float spacings at the solver's reach, max|x_j| + 10 sigma: below
     that the probes x -+ tol/2 round onto x or its neighbours, and the
-    solver would run to its pass cap uncertified."""
-    tol = _checked(tol, "tolerance", strict=True)
+    solver would run to its pass cap uncertified.  No tol (None) means the
+    larger of ``DEFAULT_TOL`` and that least one."""
     reach = max(abs(centers[0]), abs(centers[-1])) + _REACH_SD * sigma
     least = float(2.0 * np.spacing(reach))
+    tol = max(DEFAULT_TOL, least) if tol is None else _checked(tol, "tolerance", strict=True)
     if not (tol >= least):
         raise ValueError(
             f"tolerance must be at least {least!r}, twice the float spacing at "
@@ -265,42 +268,33 @@ def _bracket(centers, sigma: float, tol: float) -> tuple[float, float]:
 
 def _solve_nodes(centers, sigma, targets, x, tol) -> np.ndarray:
     """Roots of F = targets within tol/2 from starts x, each in the bracket
-    of ``_bracket``.  A Newton pass takes F and F' at x from one window
-    sum; after a step of at most tol/2 a certifying pass ends the node if
-    F(x - tol/2) <= w <= F(x + tol/2).  Every probe moves a bracket end; a
-    bracket narrower than tol ends the node at its midpoint, which also
-    replaces a failed certificate and a Newton step leaving the bracket."""
+    of ``_bracket``.  Each pass takes F and F' at x -+ tol/2 from one window
+    sum and ends the node at x if F(x - tol/2) <= w <= F(x + tol/2).  Else
+    the probes move the bracket ends and Newton steps from the probe on the
+    root's side; a step leaving the bracket is replaced by the bracket's
+    midpoint, and a bracket narrower than tol ends the node at its midpoint."""
     left, right = _bracket(centers, sigma, tol)
     x, lo, hi = x.copy(), np.full(targets.size, left), np.full(targets.size, right)
-    due = np.zeros(targets.size, dtype=bool)
     half = 0.5 * tol
     act = np.arange(targets.size)
     for _ in range(MAX_SOLVE_ITER):
         if act.size == 0:
             break
-        run = act[~due[act]]
-        if run.size:
-            xa, w = x[run], targets[run]
-            f, d = _ragged_window_eval(centers, sigma, xa, density=True)
-            lo[run] = la = np.where(f <= w, xa, lo[run])
-            hi[run] = ha = np.where(f > w, xa, hi[run])
-            step = xa - np.divide(f - w, d, out=np.full_like(d, np.inf), where=d > 0.0)
-            inside = (step >= la) & (step <= ha)
-            due[run] = short = inside & (np.abs(step - xa) <= half)
-            narrow = (ha - la <= tol) & ~short
-            x[run] = np.where(inside & ~narrow, step, 0.5 * (la + ha))
-            if narrow.any():
-                act = np.setdiff1d(act, run[narrow], assume_unique=True)
-        else:
-            xa, w = x[act], targets[act]
-            probes = np.concatenate([xa - half, xa + half])
-            f_lo, f_hi = np.split(_ragged_window_eval(centers, sigma, probes), 2)
-            done = (f_lo <= w) & (w <= f_hi)
-            lo[act] = la = np.where(f_hi <= w, xa + half, lo[act])
-            hi[act] = ha = np.where(f_lo > w, xa - half, hi[act])
-            x[act] = np.where(done, xa, 0.5 * (la + ha))
-            due[act] = False
-            act = act[~done]
+        xa, w = x[act], targets[act]
+        probes = np.concatenate([xa - half, xa + half])
+        f, d = _ragged_window_eval(centers, sigma, probes, density=True)
+        f_lo, f_hi = np.split(f, 2)
+        done = (f_lo <= w) & (w <= f_hi)
+        up = f_hi <= w
+        lo[act] = la = np.where(up, xa + half, lo[act])
+        hi[act] = ha = np.where(f_lo > w, xa - half, hi[act])
+        # Newton from x + tol/2 where F there is at most w, else from x - tol/2
+        k = np.arange(w.size) + w.size * up
+        step = probes[k] - np.divide(f[k] - w, d[k], out=np.full(w.size, np.inf), where=d[k] > 0.0)
+        ended = done | (ha - la <= tol)
+        newton = (step >= la) & (step <= ha) & ~ended
+        x[act] = np.where(done, xa, np.where(newton, step, 0.5 * (la + ha)))
+        act = act[~ended]
     return x
 
 
@@ -462,11 +456,12 @@ def _resample_clusters(centers, sigma, targets, tol) -> np.ndarray:
 
 
 def heat_resample(
-    pq: ParticleQuantiles, sigma: float, tol: float = DEFAULT_TOL
+    pq: ParticleQuantiles, sigma: float, tol: float | None = None
 ) -> ParticleQuantiles:
     """Quantiles of the Gaussian-smoothed particle CDF at the midpoint nodes,
     each within ``tol`` of the exact one.  A tol below twice the float
-    spacing at the solver's reach, max|x_j| + 10 sigma, is rejected.
+    spacing at the solver's reach, max|x_j| + 10 sigma, is rejected; no tol
+    means the larger of 1e-10 and that least one, so any data can be run.
 
     The tables of clusters of at least 48 particles propose their nodes;
     one exact solve, started at the proposal or at the same-rank center,
@@ -485,7 +480,9 @@ def viscous_step(
     h: float,
     nu: float,
 ) -> ParticleQuantiles:
-    """Transport-collapse step followed by heat smoothing of variance 2*nu*h."""
+    """Transport-collapse step followed by heat smoothing of variance 2*nu*h,
+    each node within the larger of 1e-10 and twice the float spacing at
+    max|x_j| + 10 sigma (``heat_resample``'s default tol)."""
     h = _checked(h, "step size h", strict=True)
     nu = _checked(nu, "viscosity nu", strict=True)
     return heat_resample(th_step(pq, flux, h), math.sqrt(2.0 * nu * h))

@@ -1,4 +1,5 @@
 import io
+import math
 import sys
 
 import pytest
@@ -116,6 +117,24 @@ def test_tabulated_flux_runs_end_to_end(tmp_path, capsys):
     rows = [l.split(",") for l in out.splitlines() if l and not l.startswith(("#", "t,"))]
     assert len(rows) == 5
     assert all(float(r[2]) <= 1 + 1e-10 for r in rows)  # ratio1
+
+
+def test_viscous_run_far_from_the_origin(tmp_path, capsys):
+    # max|x| + 10 sigma is past 2^18, where two float spacings exceed the
+    # 1e-10 default tol; with no tol to give, the run must take the least
+    # one the data allow instead of failing on it
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(
+        "kind = viscous_contraction\nn_particles = 64\nh = 0.1\nt_final = 0.2\n"
+        "n_times = 3\nnu = 0.1\n[flux]\nname = burgers\n"
+        "[initial_a]\npreset = uniform(1000000, 1000001)\n"
+        "[initial_b]\npreset = uniform(1000000.5, 1000001.5)\n"
+    )
+    assert main(["run", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    rows = [l.split(",") for l in out.splitlines() if l and not l.startswith(("#", "t,"))]
+    assert len(rows) == 3
+    assert all(math.isfinite(float(v)) for r in rows for v in r)
 
 
 def test_selftest_passes(capsys):

@@ -329,6 +329,9 @@ def test_integer_keys_reject_float_spellings(line):
             ("t_final = 1 2", "'t_final': expected a single number"),
             ("p_list = 0.5", "'p_list': needs orders p >= 1"),
             ("n_times = 1", "'n_times': need at least 2 sample times"),
+            # the entropy screen's own limits, before any library message
+            ("kind = entropy_residual\nt_final = 0", "'t_final': must be positive for entropy"),
+            ("kind = entropy_residual\nn_times = 2", "'n_times': entropy_residual needs at least 3"),
             ("nu = -1", "'nu': must be nonnegative"),
             ("[initial_a]\npreset = dirac(", "'initial_a.preset': cannot parse 'dirac\\('"),
             # beyond Python's digit limit for int(); the id keeps its first 40 characters

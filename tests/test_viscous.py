@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr, ndtri
 
 import claw.viscous as viscous_mod
+from claw.config import build_initial
 from claw.fluxes import make_builtin
 from claw.measures import ParticleQuantiles, midpoint_nodes
 from claw.scheme import th_step
@@ -275,6 +276,15 @@ def two_clusters(n=1024):
     return ParticleQuantiles(np.concatenate([left, right]))
 
 
+def wide_span(half_span, seed):
+    """The diagnostics benchmark's wide-span data after one Burgers
+    transport step: half the mass uniform on [-half_span, -half_span + 0.5],
+    half an atom at half_span."""
+    keys = {"a": f"{-half_span}", "b": f"{-half_span + 0.5}", "atoms": f"{half_span}"}
+    pq = build_initial({"preset": f"random({seed})", **keys}, 1024)
+    return th_step(pq, make_builtin("burgers"), 0.1)
+
+
 # the benchmark's sigma = sqrt(2 nu h) for nu in {0.1, 1} and h in {0.01, 0.1}
 BENCH_SIGMAS = [0.045, 0.141, 0.447]
 
@@ -329,11 +339,20 @@ class TestCdfTable:
         exact = [float(mpmath.fsum(ndtr((xi - c) / sigma)) / c.size) for xi in x]
         assert np.max(np.abs(viscous_mod._ragged_window_eval(c, sigma, x) - exact)) <= 1e-15
 
-    @pytest.mark.parametrize("sigma", BENCH_SIGMAS)
-    def test_benchmark_shapes_never_reach_the_solver(self, monkeypatch, random_pq, sigma):
-        # every node of the viscous benchmark's data is certified from the table
+    @pytest.mark.parametrize(
+        "data, sigma",
+        [pytest.param((), s, id=f"{s}") for s in BENCH_SIGMAS]
+        + [
+            pytest.param((h, seed), 0.045, id=f"wide span {2 * h}")
+            for h, seed in [(100, 52000), (1000, 53000)]
+        ],
+    )
+    def test_benchmark_shapes_never_reach_the_solver(self, monkeypatch, random_pq, data, sigma):
+        # every node of the viscous benchmark's data, and of the diagnostics
+        # benchmark's wide-span data at its nu = 0.01, is certified from a table
+        pq = wide_span(*data) if data else burgers_span2(random_pq)
         solves = counting(monkeypatch, "_solve_nodes")
-        heat_resample(burgers_span2(random_pq), sigma)
+        heat_resample(pq, sigma)
         assert solves == []
 
     def test_isolated_end_atom_goes_to_the_solver(self, monkeypatch):
@@ -495,6 +514,17 @@ def test_tol_below_the_float_spacing_is_rejected(random_pq):
         assert level - ulps <= full_sum_cdf(centers, sigma, x + 0.5 * tol)[0]
 
 
+def test_certified_starts_end_after_one_window_sum(monkeypatch, random_pq):
+    # a pass both certifies and steps, so the solver's own answers, fed
+    # back as starts, come back unchanged from a single window sum
+    pq, sigma, tol = random_pq(18, n=200), 0.05, 1e-10
+    x = exact_nodes(pq, sigma, tol=tol)
+    sums = counting(monkeypatch, "_ragged_window_eval")
+    again = viscous_mod._solve_nodes(pq.positions, sigma, midpoint_nodes(pq.n), x, tol)
+    assert len(sums) == 1
+    assert again.tobytes() == x.tobytes()
+
+
 @pytest.mark.parametrize("scale", [0.3, 3.0])
 def test_solver_certifies_with_a_wrong_density(monkeypatch, random_pq, scale):
     # answers rest on F values alone: a density off by a constant factor
@@ -542,6 +572,21 @@ class TestViscousStep:
         sigma2 = np.sqrt(2 * (2 * nu * h))
         oracle = ParticleQuantiles(sigma2 * ndtri(midpoint_nodes(n)))
         assert wp_particles(two, oracle, 2.0) <= 0.7 / n
+
+    def test_far_from_the_origin_runs_at_the_least_tol(self):
+        # from max|x| + 10 sigma = 2^18 on, two float spacings exceed 1e-10;
+        # with no tol given, the step resamples at the least tol accepted
+        burgers, h, nu = make_builtin("burgers"), 0.1, 0.1
+        sigma = np.sqrt(2.0 * nu * h)
+        pq = ParticleQuantiles(np.linspace(0.0, 1.0, 64) + 262143.0)
+        moved = th_step(pq, burgers, h)
+        tol = least_tol(moved, sigma)
+        assert tol > 1e-10 and viscous_mod._check_tol(None, moved.positions, sigma) == tol
+        assert viscous_mod._check_tol(None, moved.positions - 1000.0, sigma) == 1e-10
+        x = viscous_step(pq, burgers, h, nu).positions
+        w = midpoint_nodes(pq.n)
+        assert np.all(full_sum_cdf(moved.positions, sigma, x - tol) <= w)
+        assert np.all(w <= full_sum_cdf(moved.positions, sigma, x + tol))
 
     def test_rejects_zero_viscosity(self, random_pq):
         with pytest.raises(ValueError):
